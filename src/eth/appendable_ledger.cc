@@ -9,17 +9,7 @@ AppendableLedger::AppendableLedger(const Ledger& base)
     : accounts_(base.accounts()),
       transactions_(base.transactions()),
       coinbase_id_(base.coinbase_id()) {
-  tx_index_.resize(accounts_.size());
-  for (int i = 0; i < static_cast<int>(transactions_.size()); ++i) {
-    const Transaction& tx = transactions_[i];
-    if (tx.from >= 0 && tx.from < static_cast<AccountId>(tx_index_.size())) {
-      tx_index_[tx.from].push_back(i);
-    }
-    if (tx.to >= 0 && tx.to < static_cast<AccountId>(tx_index_.size()) &&
-        tx.to != tx.from) {
-      tx_index_[tx.to].push_back(i);
-    }
-  }
+  index_.Build(accounts_.size(), transactions_);
 }
 
 Status AppendableLedger::Append(const Transaction& tx) {
@@ -39,16 +29,8 @@ Status AppendableLedger::Append(const Transaction& tx) {
   }
   const int index = static_cast<int>(transactions_.size());
   transactions_.push_back(tx);
-  tx_index_[tx.from].push_back(index);
-  if (tx.to != tx.from) tx_index_[tx.to].push_back(index);
+  index_.Append(index, tx);
   return Status::OK();
-}
-
-const std::vector<int>& AppendableLedger::TransactionsOf(AccountId id) const {
-  if (id < 0 || id >= static_cast<AccountId>(tx_index_.size())) {
-    return empty_;
-  }
-  return tx_index_[id];
 }
 
 }  // namespace eth

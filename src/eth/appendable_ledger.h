@@ -35,14 +35,11 @@ class AppendableLedger : public Ledger {
   const std::vector<Transaction>& transactions() const override {
     return transactions_;
   }
-  const std::vector<int>& TransactionsOf(AccountId id) const override;
   AccountId coinbase_id() const override { return coinbase_id_; }
 
  private:
   std::vector<Account> accounts_;
   std::vector<Transaction> transactions_;
-  std::vector<std::vector<int>> tx_index_;  ///< Per account id.
-  std::vector<int> empty_;
   AccountId coinbase_id_ = -1;
 };
 

@@ -127,12 +127,7 @@ Result<std::unique_ptr<CsvLedger>> CsvLedger::FromCsv(std::istream* is) {
             [](const Transaction& a, const Transaction& b) {
               return a.timestamp < b.timestamp;
             });
-  ledger->tx_index_.assign(ledger->accounts_.size(), {});
-  for (int i = 0; i < static_cast<int>(ledger->transactions_.size()); ++i) {
-    const Transaction& tx = ledger->transactions_[i];
-    ledger->tx_index_[tx.from].push_back(i);
-    if (tx.to != tx.from) ledger->tx_index_[tx.to].push_back(i);
-  }
+  ledger->index_.Build(ledger->accounts_.size(), ledger->transactions_);
   return ledger;
 }
 
@@ -170,11 +165,6 @@ Result<int> CsvLedger::LoadLabels(std::istream* is) {
     ++applied;
   }
   return applied;
-}
-
-const std::vector<int>& CsvLedger::TransactionsOf(AccountId id) const {
-  DBG4ETH_CHECK(id >= 0 && id < static_cast<AccountId>(tx_index_.size()));
-  return tx_index_[id];
 }
 
 Result<AccountId> CsvLedger::Resolve(const std::string& address) const {

@@ -43,7 +43,6 @@ class CsvLedger : public Ledger {
   const std::vector<Transaction>& transactions() const override {
     return transactions_;
   }
-  const std::vector<int>& TransactionsOf(AccountId id) const override;
 
   /// Dense id of an address, if it appears in the ledger.
   Result<AccountId> Resolve(const std::string& address) const;
@@ -60,7 +59,6 @@ class CsvLedger : public Ledger {
   std::vector<std::string> addresses_;
   std::unordered_map<std::string, AccountId> by_address_;
   std::vector<Transaction> transactions_;
-  std::vector<std::vector<int>> tx_index_;
 };
 
 /// Writes a ledger's transactions in the CsvLedger::FromCsv format, using

@@ -81,10 +81,6 @@ class LedgerSimulator : public Ledger {
   /// The synthetic coinbase (block-reward source) account.
   AccountId coinbase_id() const override { return 0; }
 
-  /// Indices (into transactions()) of every transaction where `id` is
-  /// sender or receiver, in timestamp order.
-  const std::vector<int>& TransactionsOf(AccountId id) const override;
-
   /// Simulation horizon in seconds.
   double duration_seconds() const { return config_.duration_days * 86400.0; }
 
@@ -115,7 +111,6 @@ class LedgerSimulator : public Ledger {
   AccountId mixer_base_ = -1;
   std::vector<Account> accounts_;
   std::vector<Transaction> transactions_;
-  std::vector<std::vector<int>> tx_index_;  ///< Per-account incident txs.
 };
 
 }  // namespace eth

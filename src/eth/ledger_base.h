@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "eth/tx_index.h"
 #include "eth/types.h"
 
 namespace dbg4eth {
@@ -11,9 +12,11 @@ namespace eth {
 /// \brief Read interface of a transaction ledger: the data source the
 /// sampling / dataset pipeline consumes.
 ///
-/// Implementations: LedgerSimulator (synthetic behavioural generator) and
+/// Implementations: LedgerSimulator (synthetic behavioural generator),
 /// CsvLedger (transactions exported from a real chain, e.g. an Etherscan
-/// dump).
+/// dump) and AppendableLedger (a growable copy of either). All three keep
+/// their per-account index in the shared TxIndex below, so the per-account
+/// accessors behave the same for every ledger.
 class Ledger {
  public:
   virtual ~Ledger() = default;
@@ -24,8 +27,19 @@ class Ledger {
   virtual const std::vector<Transaction>& transactions() const = 0;
 
   /// Indices (into transactions()) of every transaction where `id` is
-  /// sender or receiver, in timestamp order.
-  virtual const std::vector<int>& TransactionsOf(AccountId id) const = 0;
+  /// sender or receiver, in timestamp order; a self-transfer is listed
+  /// once. Aborts when `id` is not an account of this ledger (including a
+  /// simulator before Generate).
+  const std::vector<int>& TransactionsOf(AccountId id) const {
+    return index_.TransactionsOf(id);
+  }
+
+  /// Parallel to TransactionsOf(id): entry j is the other endpoint of
+  /// transaction j, or `id` itself for a self-transfer. Aborts like
+  /// TransactionsOf on an out-of-range id.
+  const std::vector<AccountId>& CounterpartiesOf(AccountId id) const {
+    return index_.CounterpartiesOf(id);
+  }
 
   /// The block-reward source account, when the ledger has one; -1
   /// otherwise. Excluded from negative sampling pools.
@@ -39,6 +53,10 @@ class Ledger {
     }
     return out;
   }
+
+ protected:
+  /// Built by each implementation once its transactions are sorted.
+  TxIndex index_;
 };
 
 }  // namespace eth

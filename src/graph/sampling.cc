@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace dbg4eth {
@@ -10,34 +9,43 @@ namespace graph {
 
 namespace {
 
-struct PeerStats {
-  double total_value = 0.0;
+/// One ranked counterparty: the Eq. 2 keys, computed once per peer so the
+/// comparator does no division.
+struct PeerKey {
+  double avg = 0.0;    ///< Average transaction value.
+  double total = 0.0;  ///< Total transaction value.
+  eth::AccountId id = -1;
   int count = 0;
-  double avg() const { return count > 0 ? total_value / count : 0.0; }
 };
 
+/// Rank order of Section III-B1: average value, ties by total value, then
+/// by id. A strict total order (ids are unique), so partial_sort selects
+/// exactly the prefix a full sort would.
+bool RanksBefore(const PeerKey& a, const PeerKey& b) {
+  if (a.avg != b.avg) return a.avg > b.avg;
+  if (a.total != b.total) return a.total > b.total;
+  return a.id < b.id;
+}
+
 /// Per-thread scratch reused across SampleSubgraph calls. The cold serving
-/// path samples one subgraph per request, and the per-call hash sets
-/// (selected nodes, local index map, induced-transaction dedup, per-node
-/// peer aggregation) dominated its cost: a 48-node neighborhood around a
-/// high-degree account touches thousands of incident transactions, each
-/// paying hash inserts and lookups. Epoch-stamped marker arrays over the
-/// ledger's account and transaction id spaces make every membership test
-/// one indexed load; bumping the epoch empties a "set" in O(1), so the
-/// arrays are reused across calls without clearing. Results are identical
-/// to the hash-based version — only the lookup structure changed.
+/// path samples one subgraph per request, and per-call hash sets (selected
+/// nodes, local index map, per-node peer aggregation) dominated its cost.
+/// Epoch-stamped marker arrays over the ledger's account id space make
+/// every membership test one indexed load; bumping the epoch empties a
+/// "set" in O(1), so the arrays are reused across calls without clearing.
 struct SamplingScratch {
   std::vector<uint64_t> selected_epoch;  ///< Account id -> in selected set.
   std::vector<uint64_t> local_epoch;     ///< Account id -> has local index.
   std::vector<int> local_index;
   std::vector<uint64_t> peer_epoch;  ///< Account id -> seen by CollectPeers.
   std::vector<int> peer_slot;
-  std::vector<uint64_t> tx_epoch;  ///< Tx index -> already induced.
+  std::vector<PeerKey> peers;  ///< CollectPeers output, reused per node.
   uint64_t epoch = 0;
 
-  /// Grows the marker arrays to the ledger's id spaces. Stale entries keep
-  /// old epochs (never equal to a fresh one), so no clearing is needed.
-  void Prepare(size_t num_accounts, size_t num_txs) {
+  /// Grows the marker arrays to the ledger's account id space. Stale
+  /// entries keep old epochs (never equal to a fresh one), so no clearing
+  /// is needed.
+  void Prepare(size_t num_accounts) {
     if (selected_epoch.size() < num_accounts) {
       selected_epoch.resize(num_accounts, 0);
       local_epoch.resize(num_accounts, 0);
@@ -45,7 +53,6 @@ struct SamplingScratch {
       peer_epoch.resize(num_accounts, 0);
       peer_slot.resize(num_accounts, 0);
     }
-    if (tx_epoch.size() < num_txs) tx_epoch.resize(num_txs, 0);
   }
 };
 
@@ -54,28 +61,30 @@ SamplingScratch* ThreadScratch() {
   return &scratch;
 }
 
-/// Counterparty aggregates for one account in first-touch order (the order
-/// does not matter downstream: the ranking comparator is a strict total
-/// order with the account id as final tiebreak).
-std::vector<std::pair<eth::AccountId, PeerStats>> CollectPeers(
-    const eth::Ledger& ledger, eth::AccountId node,
-    SamplingScratch* scratch) {
+/// Aggregates `node`'s counterparties into scratch->peers, in first-touch
+/// order (the order does not matter downstream: RanksBefore is a strict
+/// total order).
+void CollectPeers(const eth::Ledger& ledger, eth::AccountId node,
+                  SamplingScratch* scratch) {
   const uint64_t epoch = ++scratch->epoch;
-  std::vector<std::pair<eth::AccountId, PeerStats>> peers;
-  for (int idx : ledger.TransactionsOf(node)) {
-    const eth::Transaction& tx = ledger.transactions()[idx];
-    const eth::AccountId peer = tx.from == node ? tx.to : tx.from;
+  std::vector<PeerKey>& peers = scratch->peers;
+  peers.clear();
+  const std::vector<int>& txs = ledger.TransactionsOf(node);
+  const std::vector<eth::AccountId>& counterparties =
+      ledger.CounterpartiesOf(node);
+  for (size_t j = 0; j < txs.size(); ++j) {
+    const eth::AccountId peer = counterparties[j];
     if (peer == node) continue;
     if (scratch->peer_epoch[peer] != epoch) {
       scratch->peer_epoch[peer] = epoch;
       scratch->peer_slot[peer] = static_cast<int>(peers.size());
-      peers.push_back({peer, PeerStats{}});
+      peers.push_back(PeerKey{0.0, 0.0, peer, 0});
     }
-    PeerStats& st = peers[scratch->peer_slot[peer]].second;
-    st.total_value += tx.value;
-    ++st.count;
+    PeerKey& key = peers[scratch->peer_slot[peer]];
+    key.total += ledger.transactions()[txs[j]].value;
+    ++key.count;
   }
-  return peers;
+  for (PeerKey& key : peers) key.avg = key.total / key.count;
 }
 
 }  // namespace
@@ -95,7 +104,7 @@ Result<eth::TxSubgraph> SampleSubgraph(const eth::Ledger& ledger,
   }
 
   SamplingScratch* scratch = ThreadScratch();
-  scratch->Prepare(ledger.accounts().size(), ledger.transactions().size());
+  scratch->Prepare(ledger.accounts().size());
 
   std::vector<eth::AccountId> nodes = {center};
   const uint64_t selected = ++scratch->epoch;
@@ -105,28 +114,19 @@ Result<eth::TxSubgraph> SampleSubgraph(const eth::Ledger& ledger,
   for (int hop = 0; hop < config.hops; ++hop) {
     std::vector<eth::AccountId> next_frontier;
     for (eth::AccountId v : frontier) {
-      auto ranked = CollectPeers(ledger, v, scratch);
-      // Rank peers by average transaction value, ties by total value
-      // (Section III-B1).
-      std::sort(ranked.begin(), ranked.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.second.avg() != b.second.avg()) {
-                    return a.second.avg() > b.second.avg();
-                  }
-                  if (a.second.total_value != b.second.total_value) {
-                    return a.second.total_value > b.second.total_value;
-                  }
-                  return a.first < b.first;
-                });
-      int taken = 0;
-      for (const auto& [peer, stats] : ranked) {
-        if (taken >= config.top_k) break;
-        ++taken;  // Existing members count toward the per-node budget.
-        if (scratch->selected_epoch[peer] == selected) continue;
+      // Only the top K peers are consumed, so only they are ordered.
+      CollectPeers(ledger, v, scratch);
+      std::vector<PeerKey>& ranked = scratch->peers;
+      const auto top = ranked.begin() + std::min<size_t>(
+                                            config.top_k, ranked.size());
+      std::partial_sort(ranked.begin(), top, ranked.end(), RanksBefore);
+      for (auto it = ranked.begin(); it != top; ++it) {
+        // Existing members count toward the per-node budget.
+        if (scratch->selected_epoch[it->id] == selected) continue;
         if (static_cast<int>(nodes.size()) >= config.max_nodes) break;
-        scratch->selected_epoch[peer] = selected;
-        nodes.push_back(peer);
-        next_frontier.push_back(peer);
+        scratch->selected_epoch[it->id] = selected;
+        nodes.push_back(it->id);
+        next_frontier.push_back(it->id);
       }
       if (static_cast<int>(nodes.size()) >= config.max_nodes) break;
     }
@@ -151,16 +151,23 @@ Result<eth::TxSubgraph> SampleSubgraph(const eth::Ledger& ledger,
     sub.is_contract[i] =
         ledger.accounts()[nodes[i]].kind == eth::AccountKind::kContract;
   }
-  const uint64_t seen_tx = ++scratch->epoch;
-  for (eth::AccountId v : nodes) {
-    for (int idx : ledger.TransactionsOf(v)) {
-      if (scratch->tx_epoch[idx] == seen_tx) continue;
-      scratch->tx_epoch[idx] = seen_tx;
-      const eth::Transaction& tx = ledger.transactions()[idx];
-      if (scratch->local_epoch[tx.from] != local ||
-          scratch->local_epoch[tx.to] != local) {
+  // Each induced transaction is taken while scanning its lower-local-index
+  // endpoint (a self-transfer from its only entry): the scan meets it there
+  // first, so the push order is the first-seen order of a scan over every
+  // incident transaction, and the unstable timestamp sort below sees the
+  // same input. The counterparty list settles membership before the
+  // transaction itself is loaded.
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const std::vector<int>& txs = ledger.TransactionsOf(nodes[i]);
+    const std::vector<eth::AccountId>& counterparties =
+        ledger.CounterpartiesOf(nodes[i]);
+    for (size_t j = 0; j < txs.size(); ++j) {
+      const eth::AccountId peer = counterparties[j];
+      if (scratch->local_epoch[peer] != local ||
+          scratch->local_index[peer] < static_cast<int>(i)) {
         continue;
       }
+      const eth::Transaction& tx = ledger.transactions()[txs[j]];
       eth::LocalTransaction lt;
       lt.src = scratch->local_index[tx.from];
       lt.dst = scratch->local_index[tx.to];

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "tensor/matmul_kernels.h"
 
 namespace dbg4eth {
 
@@ -153,54 +154,8 @@ void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
   DBG4ETH_CHECK_EQ(a.cols(), b.rows());
   DBG4ETH_CHECK_EQ(out->rows(), a.rows());
   DBG4ETH_CHECK_EQ(out->cols(), b.cols());
-  const int n = a.rows();
-  const int k = a.cols();
-  const int m = b.cols();
-  // ikj order (streams rows of b and out), register-blocked over 4 rows of
-  // a: each row of b loaded once feeds 4 output rows. The zero test moves
-  // from per-element to per-block — it still skips the fully-masked rows
-  // that attention masking produces (a masked GAT alpha row is all zeros
-  // across the whole block only if all 4 rows mask that column, which is
-  // the common case for padded/disconnected nodes) without paying a branch
-  // per multiply in the dense case.
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double* a0 = a.RowPtr(i);
-    const double* a1 = a.RowPtr(i + 1);
-    const double* a2 = a.RowPtr(i + 2);
-    const double* a3 = a.RowPtr(i + 3);
-    double* o0 = out->RowPtr(i);
-    double* o1 = out->RowPtr(i + 1);
-    double* o2 = out->RowPtr(i + 2);
-    double* o3 = out->RowPtr(i + 3);
-    for (int kk = 0; kk < k; ++kk) {
-      const double v0 = a0[kk];
-      const double v1 = a1[kk];
-      const double v2 = a2[kk];
-      const double v3 = a3[kk];
-      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
-      const double* brow = b.RowPtr(kk);
-      for (int j = 0; j < m; ++j) {
-        const double bj = brow[j];
-        o0[j] += v0 * bj;
-        o1[j] += v1 * bj;
-        o2[j] += v2 * bj;
-        o3[j] += v3 * bj;
-      }
-    }
-  }
-  for (; i < n; ++i) {  // Remainder rows (n % 4), scalar.
-    const double* arow = a.RowPtr(i);
-    double* orow = out->RowPtr(i);
-    for (int kk = 0; kk < k; ++kk) {
-      const double av = arow[kk];
-      if (av == 0.0) continue;
-      const double* brow = b.RowPtr(kk);
-      for (int j = 0; j < m; ++j) {
-        orow[j] += av * brow[j];
-      }
-    }
-  }
+  kernels::MatMulAccumulate(a.data(), b.data(), out->data(), a.rows(),
+                            a.cols(), b.cols());
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
@@ -213,53 +168,8 @@ void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out_p) {
   DBG4ETH_CHECK_EQ(a.rows(), b.rows());
   DBG4ETH_CHECK_EQ(out_p->rows(), a.cols());
   DBG4ETH_CHECK_EQ(out_p->cols(), b.cols());
-  Matrix& out = *out_p;
-  const int n = a.rows();
-  const int k = a.cols();
-  const int m = b.cols();
-  // Four rank-1 updates fused per pass: each output row is loaded and
-  // stored once per 4 input rows instead of once per input row. The
-  // per-element adds stay in ascending-i order (sequential `acc +=`), so
-  // results are bit-identical to the unblocked kernel.
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double* a0 = a.RowPtr(i);
-    const double* a1 = a.RowPtr(i + 1);
-    const double* a2 = a.RowPtr(i + 2);
-    const double* a3 = a.RowPtr(i + 3);
-    const double* b0 = b.RowPtr(i);
-    const double* b1 = b.RowPtr(i + 1);
-    const double* b2 = b.RowPtr(i + 2);
-    const double* b3 = b.RowPtr(i + 3);
-    for (int kk = 0; kk < k; ++kk) {
-      const double v0 = a0[kk];
-      const double v1 = a1[kk];
-      const double v2 = a2[kk];
-      const double v3 = a3[kk];
-      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
-      double* orow = out.RowPtr(kk);
-      for (int j = 0; j < m; ++j) {
-        double acc = orow[j];
-        acc += v0 * b0[j];
-        acc += v1 * b1[j];
-        acc += v2 * b2[j];
-        acc += v3 * b3[j];
-        orow[j] = acc;
-      }
-    }
-  }
-  for (; i < n; ++i) {  // Remainder rows (n % 4), scalar.
-    const double* arow = a.RowPtr(i);
-    const double* brow = b.RowPtr(i);
-    for (int kk = 0; kk < k; ++kk) {
-      const double av = arow[kk];
-      if (av == 0.0) continue;
-      double* orow = out.RowPtr(kk);
-      for (int j = 0; j < m; ++j) {
-        orow[j] += av * brow[j];
-      }
-    }
-  }
+  kernels::MatMulTransAAccumulate(a.data(), b.data(), out_p->data(),
+                                  a.rows(), a.cols(), b.cols());
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {

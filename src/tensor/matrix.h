@@ -128,13 +128,14 @@ class Matrix {
 
 /// out = a * b (matrix product). Shapes must agree.
 Matrix MatMul(const Matrix& a, const Matrix& b);
-/// Accumulates a * b into *out (must be pre-shaped).
+/// Accumulates a * b into *out (must be pre-shaped). Runs the SIMD kernel
+/// of tensor/matmul_kernels.h, bit-identical to its scalar loop.
 void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a^T * b without materializing the transpose.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 /// Accumulates a^T @ b into *out (must be pre-shaped) — the allocation-free
 /// form the backward pass uses to add dB = A^T @ dOut straight onto a
-/// gradient buffer.
+/// gradient buffer. SIMD like MatMulAccumulate.
 void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a * b^T without materializing the transpose.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include <memory>
+#include <sstream>
+
+#include "eth/appendable_ledger.h"
+#include "eth/csv_ledger.h"
 #include "eth/label_store.h"
 #include "eth/ledger.h"
 
@@ -94,6 +99,86 @@ TEST_F(LedgerTest, TxIndexIsConsistent) {
       EXPECT_TRUE(tx.from == id || tx.to == id);
     }
   }
+}
+
+// Entry j of CounterpartiesOf(id) is the other endpoint of transaction
+// TransactionsOf(id)[j], or id itself for a self-transfer.
+void ExpectCounterpartiesParallel(const Ledger& ledger) {
+  for (const Account& account : ledger.accounts()) {
+    const std::vector<int>& txs = ledger.TransactionsOf(account.id);
+    const std::vector<AccountId>& peers = ledger.CounterpartiesOf(account.id);
+    ASSERT_EQ(txs.size(), peers.size()) << "account " << account.id;
+    for (size_t j = 0; j < txs.size(); ++j) {
+      const Transaction& tx = ledger.transactions()[txs[j]];
+      EXPECT_EQ(peers[j], tx.from == account.id ? tx.to : tx.from)
+          << "account " << account.id << " entry " << j;
+    }
+  }
+}
+
+TEST_F(LedgerTest, CounterpartiesParallelTransactions) {
+  ExpectCounterpartiesParallel(*ledger_);
+}
+
+TEST_F(LedgerTest, AppendKeepsIndexParallel) {
+  AppendableLedger growable(*ledger_);
+  const AccountId a = 3, b = 4;
+  const size_t a_before = growable.TransactionsOf(a).size();
+  Transaction tx;
+  tx.from = a;
+  tx.to = b;
+  tx.timestamp = growable.transactions().back().timestamp;
+  ASSERT_TRUE(growable.Append(tx).ok());
+  tx.to = a;  // Self-transfer: indexed once.
+  ASSERT_TRUE(growable.Append(tx).ok());
+  const int last = static_cast<int>(growable.transactions().size()) - 1;
+  ASSERT_EQ(growable.TransactionsOf(a).size(), a_before + 2);
+  EXPECT_EQ(growable.TransactionsOf(a).back(), last);
+  EXPECT_EQ(growable.CounterpartiesOf(a).back(), a);
+  EXPECT_EQ(growable.CounterpartiesOf(a)[a_before], b);
+  EXPECT_EQ(growable.CounterpartiesOf(b).back(), a);
+  ExpectCounterpartiesParallel(growable);
+}
+
+TEST(LedgerIndexTest, CsvSelfTransferListedOnce) {
+  std::stringstream csv;
+  csv << "from,to,value,timestamp,gas_price,gas_used,to_is_contract\n"
+      << "0xa,0xa,1,10,1,21000,0\n"
+      << "0xa,0xb,2,20,1,21000,0\n";
+  auto parsed = CsvLedger::FromCsv(&csv);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const CsvLedger& ledger = *parsed.ValueOrDie();
+  const AccountId a = ledger.Resolve("0xa").ValueOrDie();
+  const AccountId b = ledger.Resolve("0xb").ValueOrDie();
+  EXPECT_EQ(ledger.TransactionsOf(a), (std::vector<int>{0, 1}));
+  EXPECT_EQ(ledger.CounterpartiesOf(a), (std::vector<AccountId>{a, b}));
+  EXPECT_EQ(ledger.CounterpartiesOf(b), (std::vector<AccountId>{a}));
+  ExpectCounterpartiesParallel(ledger);
+}
+
+// Every ledger shares one index, so an id outside the account table aborts
+// the same way everywhere (AppendableLedger used to return an empty list).
+TEST(LedgerIndexDeathTest, OutOfRangeIdAbortsOnEveryLedger) {
+  LedgerSimulator ungenerated(SmallConfig());
+  EXPECT_DEATH(ungenerated.TransactionsOf(0), "out of range");
+
+  LedgerSimulator simulator(SmallConfig());
+  ASSERT_TRUE(simulator.Generate().ok());
+  const auto past_end = static_cast<AccountId>(simulator.accounts().size());
+  EXPECT_DEATH(simulator.TransactionsOf(past_end), "out of range");
+  EXPECT_DEATH(simulator.CounterpartiesOf(-1), "out of range");
+
+  std::stringstream csv;
+  csv << "from,to,value,timestamp,gas_price,gas_used,to_is_contract\n"
+      << "0xa,0xb,1,10,1,21000,0\n";
+  auto parsed = CsvLedger::FromCsv(&csv);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_DEATH(parsed.ValueOrDie()->TransactionsOf(2), "out of range");
+  EXPECT_DEATH(parsed.ValueOrDie()->CounterpartiesOf(-1), "out of range");
+
+  AppendableLedger growable(simulator);
+  EXPECT_DEATH(growable.TransactionsOf(past_end), "out of range");
+  EXPECT_DEATH(growable.CounterpartiesOf(-1), "out of range");
 }
 
 TEST_F(LedgerTest, ExchangesAreHighDegreeHubs) {

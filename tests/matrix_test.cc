@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
+#include "tensor/matmul_kernels.h"
 #include "tensor/matrix.h"
 
 namespace dbg4eth {
@@ -131,6 +136,143 @@ TEST(MatrixTest, RandomRange) {
   Rng rng(4);
   Matrix m = Matrix::Random(10, 10, &rng, -0.5, 0.5);
   EXPECT_LE(m.MaxAbs(), 0.5);
+}
+
+// --- Vector matmul kernels vs a naive scalar reference ------------------
+//
+// The references add every term, zero or not, in ascending order of the
+// summed index. With finite inputs and no -0.0 in `out`, adding a zero
+// product leaves an accumulator's bits unchanged, so the kernels' zero
+// skipping must not show: outputs must be memcmp-equal.
+
+// out[n x m] += a[n x k] * b[k x m]
+void NaiveMatMulAccumulate(const std::vector<double>& a,
+                           const std::vector<double>& b,
+                           std::vector<double>* out, int n, int k, int m) {
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      double acc = (*out)[i * m + j];
+      for (int kk = 0; kk < k; ++kk) acc += a[i * k + kk] * b[kk * m + j];
+      (*out)[i * m + j] = acc;
+    }
+  }
+}
+
+// out[k x m] += a[n x k]^T * b[n x m]
+void NaiveMatMulTransAAccumulate(const std::vector<double>& a,
+                                 const std::vector<double>& b,
+                                 std::vector<double>* out, int n, int k,
+                                 int m) {
+  for (int kk = 0; kk < k; ++kk) {
+    for (int j = 0; j < m; ++j) {
+      double acc = (*out)[kk * m + j];
+      for (int i = 0; i < n; ++i) acc += a[i * k + kk] * b[i * m + j];
+      (*out)[kk * m + j] = acc;
+    }
+  }
+}
+
+struct KernelBody {
+  const char* name;
+  kernels::MatMulKernel matmul;
+  kernels::MatMulKernel trans_a;
+};
+
+std::vector<KernelBody> KernelBodies() {
+  std::vector<KernelBody> bodies = {
+      {"portable", &kernels::MatMulAccumulatePortable,
+       &kernels::MatMulTransAAccumulatePortable},
+      {"dispatched", &kernels::MatMulAccumulate,
+       &kernels::MatMulTransAAccumulate}};
+#if defined(DBG4ETH_HAVE_AVX2_KERNELS)
+  if (kernels::Avx2Supported()) {
+    bodies.push_back({"avx2", &kernels::MatMulAccumulateAvx2,
+                      &kernels::MatMulTransAAccumulateAvx2});
+  }
+#endif
+  return bodies;
+}
+
+// Random entries spanning several magnitudes (so the rounding of every sum
+// depends on its order), with a share of exact zeros, and — when
+// `zero_blocks` — whole 4-row blocks of a column (and whole rows) zeroed so
+// the per-block skip fires.
+std::vector<double> KernelInput(int rows, int cols, Rng* rng,
+                                bool zero_blocks) {
+  std::vector<double> v(static_cast<size_t>(rows) * cols);
+  for (double& x : v) {
+    x = rng->Bernoulli(0.2) ? 0.0
+                            : rng->Uniform(-1.0, 1.0) *
+                                  (rng->Bernoulli(0.5) ? 1e3 : 1e-3);
+  }
+  if (zero_blocks) {
+    for (int c = 0; c < cols; c += 2) {
+      for (int r = 0; r < std::min(rows, 4); ++r) v[r * cols + c] = 0.0;
+    }
+    if (rows > 4) {
+      for (int c = 0; c < cols; ++c) v[4 * cols + c] = 0.0;
+    }
+  }
+  return v;
+}
+
+TEST(MatMulKernelTest, BodiesMatchNaiveScalarBitForBit) {
+  Rng rng(17);
+  const std::vector<KernelBody> bodies = KernelBodies();
+  for (int n : {1, 2, 3, 4, 5, 7, 8, 13, 40}) {
+    for (int k : {1, 3, 24}) {
+      for (int m : {1, 2, 3, 5, 8, 24, 72}) {
+        for (bool zero_blocks : {false, true}) {
+          const std::vector<double> a = KernelInput(n, k, &rng, zero_blocks);
+          const std::vector<double> b = KernelInput(k, m, &rng, false);
+          const std::vector<double> bt = KernelInput(n, m, &rng, false);
+          // Accumulate into a non-zero out (never -0.0).
+          std::vector<double> init_nm(static_cast<size_t>(n) * m);
+          std::vector<double> init_km(static_cast<size_t>(k) * m);
+          for (double& x : init_nm) x = rng.Uniform(0.5, 2.0);
+          for (double& x : init_km) x = rng.Uniform(0.5, 2.0);
+
+          std::vector<double> want_ab = init_nm;
+          NaiveMatMulAccumulate(a, b, &want_ab, n, k, m);
+          std::vector<double> want_atb = init_km;
+          NaiveMatMulTransAAccumulate(a, bt, &want_atb, n, k, m);
+          for (const KernelBody& body : bodies) {
+            SCOPED_TRACE(testing::Message()
+                         << body.name << " n=" << n << " k=" << k
+                         << " m=" << m << " zero_blocks=" << zero_blocks);
+            std::vector<double> got_ab = init_nm;
+            body.matmul(a.data(), b.data(), got_ab.data(), n, k, m);
+            EXPECT_EQ(0, std::memcmp(got_ab.data(), want_ab.data(),
+                                     got_ab.size() * sizeof(double)));
+            std::vector<double> got_atb = init_km;
+            body.trans_a(a.data(), bt.data(), got_atb.data(), n, k, m);
+            EXPECT_EQ(0, std::memcmp(got_atb.data(), want_atb.data(),
+                                     got_atb.size() * sizeof(double)));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, MatrixEntryPointsUseTheKernels) {
+  Rng rng(23);
+  const int n = 7, k = 5, m = 24;
+  const std::vector<double> a = KernelInput(n, k, &rng, true);
+  const std::vector<double> b = KernelInput(k, m, &rng, false);
+  const std::vector<double> bt = KernelInput(n, m, &rng, false);
+  std::vector<double> want_ab(static_cast<size_t>(n) * m, 0.0);
+  NaiveMatMulAccumulate(a, b, &want_ab, n, k, m);
+  std::vector<double> want_atb(static_cast<size_t>(k) * m, 0.0);
+  NaiveMatMulTransAAccumulate(a, bt, &want_atb, n, k, m);
+
+  const Matrix ab = MatMul(Matrix::FromFlat(n, k, a), Matrix::FromFlat(k, m, b));
+  EXPECT_EQ(0, std::memcmp(ab.data(), want_ab.data(),
+                           want_ab.size() * sizeof(double)));
+  const Matrix atb =
+      MatMulTransA(Matrix::FromFlat(n, k, a), Matrix::FromFlat(n, m, bt));
+  EXPECT_EQ(0, std::memcmp(atb.data(), want_atb.data(),
+                           want_atb.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 # suite), an end-to-end HTTP smoke (demo server + curl + graceful SIGTERM),
 # the observability, serving and network suites under ThreadSanitizer
 # (including the model hot-swap hammer and the net chaos fault injection),
-# a failpoint-enabled kill -> resume -> hot-reload chaos smoke, and a
-# serving-latency regression guard against the committed BENCH_serve.json.
+# a failpoint-enabled kill -> resume -> hot-reload chaos smoke, the
+# benchmark's self-test, the SIMD kernel / sampler / ledger suites under
+# AddressSanitizer + UBSan, and a serving-latency regression guard against
+# the committed BENCH_serve.json.
 #
-#   tools/check.sh            # tier-1 + tsan obs/serve
+#   tools/check.sh            # tier-1 + tsan obs/serve + perfbench + asan
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + bench-regression guard
 #
@@ -163,6 +165,23 @@ echo "=== tsan: net suite + net chaos (ctest -L net / -R NetChaos) ==="
 # actually injects the faults; in the default build these tests skip.
 echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke ==="
 (cd build-tsan && ctest -R "ResumeReloadChaos" \
+    --no-tests=error --output-on-failure -j"$(nproc)")
+
+# The benchmark checks every served score bit for bit against an
+# in-process oracle; its self-test proves a one-ulp corruption fails it.
+echo "=== perfbench self-test: a corrupted score must fail the run ==="
+python3 perfbench/run.py --self-test
+
+# The SIMD matmul kernels load and store vectors up to each row's tail,
+# and the sampler indexes the ledger's counterparty lists: run their
+# suites (and the ledger index's) under AddressSanitizer + UBSan.
+echo "=== asan: configure + build (build-asan/) ==="
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j --target dbg4eth_tests
+
+echo "=== asan: matrix kernel, sampling, ledger and CSV-ledger suites ==="
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest \
+    -R "^(Matrix|MatMulKernel|Sampling|SamplingEquivalence|Ledger|LedgerIndex|LedgerIndexDeath|CsvLedger)Test\\." \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
