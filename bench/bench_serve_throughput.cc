@@ -194,9 +194,9 @@ int Run(const std::string& json_path) {
 
   // --- 1b. grad-free fast path vs the autograd tape ---
   // Same forward pass three ways: on the tape (every op records a node and
-  // allocates its activations), under a cold arena (tape-free, but every
-  // buffer is a fresh allocation), and in the arena's steady state (every
-  // node and buffer recycled from the previous pass). Instances are
+  // allocates its activations), under a cold arena (tape-free, but the
+  // free lists start empty), and in the arena's steady state (every node
+  // and buffer recycled). Instances are
   // materialized up front so only the forward pass is timed.
   std::printf("grad-free fast path vs autograd tape (forward pass only):\n");
   std::vector<eth::GraphInstance> probe_instances;
@@ -226,7 +226,8 @@ int Run(const std::string& json_path) {
   ag::SetInferenceFastPathEnabled(true);
 
   // Cold arena: tape-free, but the free lists start empty, so the pass
-  // stats count every activation buffer a solo cold score allocates.
+  // stats count the buffers of a solo cold score's peak working set
+  // (buffers return to the arena as their last tensor drops).
   uint64_t cold_arena_bytes = 0;
   uint64_t cold_arena_buffers = 0;
   if (!probe_instances.empty()) {

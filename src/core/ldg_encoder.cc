@@ -68,20 +68,40 @@ ag::Tensor LdgEncoder::EmbedSlices(
     // Eq. 15-18: evolutionary update.
     h = gru_->Forward(u_t, h);
 
-    // Eq. 19-21: DiffPool pyramid down to one node for this slice. The
-    // first level pools the constant sparse adjacency; deeper levels pool
-    // the differentiable dense output of the previous level.
-    gnn::DiffPool::Output pooled = pools_.front()->Forward(adj, h);
-    for (size_t level = 1; level < pools_.size(); ++level) {
-      pooled = pools_[level]->Forward(pooled.adjacency, pooled.features);
-    }
-    pooled_per_slice.push_back(pooled.features);  // 1 x hidden
+    // Eq. 19-21: DiffPool pyramid down to one node for this slice.
+    pooled_per_slice.push_back(PoolSlice(adj, h));  // 1 x hidden
   }
 
   // Eq. 22: adaptive time-slice weights.
   ag::Tensor alphas = ag::SoftmaxColVector(slice_weights_);  // T x 1
   ag::Tensor stacked = ag::ConcatRowsList(pooled_per_slice);  // T x hidden
   return ag::MatMul(ag::Transpose(alphas), stacked);          // 1 x hidden
+}
+
+ag::Tensor LdgEncoder::PoolSlice(
+    const std::shared_ptr<const SparseMatrix>& adj,
+    const ag::Tensor& h) const {
+  // The first level pools the constant sparse adjacency; deeper levels pool
+  // the differentiable dense output of the level below. The top level has
+  // one cluster, so it reads no adjacency (DiffPool::PoolToOne) and the
+  // level under it pools features only.
+  const size_t top = pools_.size() - 1;
+  ag::Tensor features = h;
+  ag::Tensor pooled_adj;
+  for (size_t level = 0; level < top; ++level) {
+    const gnn::DiffPool& pool = *pools_[level];
+    if (level + 1 == top) {
+      features = level == 0 ? pool.PoolFeatures(adj, features)
+                            : pool.PoolFeatures(pooled_adj, features);
+    } else {
+      gnn::DiffPool::Output out = level == 0
+                                      ? pool.Forward(adj, features)
+                                      : pool.Forward(pooled_adj, features);
+      features = out.features;
+      pooled_adj = out.adjacency;
+    }
+  }
+  return pools_[top]->PoolToOne(features);
 }
 
 ag::Tensor LdgEncoder::Logits(const ag::Tensor& embedding) const {
@@ -148,12 +168,8 @@ std::vector<double> LdgEncoder::PredictScoreBatch(
     for (size_t b = 0; b < instances.size(); ++b) {
       ag::Tensor block_h = ag::SliceRows(h, pack.begin(static_cast<int>(b)),
                                          pack.end(static_cast<int>(b)));
-      gnn::DiffPool::Output pooled =
-          pools_.front()->Forward(slice_adjs[t][b], block_h);
-      for (size_t level = 1; level < pools_.size(); ++level) {
-        pooled = pools_[level]->Forward(pooled.adjacency, pooled.features);
-      }
-      pooled_per_slice[b].push_back(pooled.features);  // 1 x hidden
+      pooled_per_slice[b].push_back(
+          PoolSlice(slice_adjs[t][b], block_h));  // 1 x hidden
     }
   }
 

@@ -129,6 +129,11 @@ class LdgEncoder {
   const LdgEncoderConfig& config() const { return config_; }
 
  private:
+  /// Eq. 19-21: the DiffPool pyramid of one slice, from its node states
+  /// `h` over the slice adjacency down to one node (1 x hidden).
+  ag::Tensor PoolSlice(const std::shared_ptr<const SparseMatrix>& adj,
+                       const ag::Tensor& h) const;
+
   LdgEncoderConfig config_;
   mutable Rng rng_;
   std::unique_ptr<gnn::Linear> input_proj_;  ///< features -> hidden (h_0).

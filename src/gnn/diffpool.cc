@@ -35,6 +35,23 @@ DiffPool::Output DiffPool::Forward(std::shared_ptr<const SparseMatrix> adj,
   return out;
 }
 
+ag::Tensor DiffPool::PoolFeatures(const ag::Tensor& adj,
+                                  const ag::Tensor& h) const {
+  ag::Tensor assign = ag::SoftmaxRows(assign_gnn_.Forward(adj, h));
+  return ag::MatMul(ag::Transpose(assign), h);
+}
+
+ag::Tensor DiffPool::PoolFeatures(std::shared_ptr<const SparseMatrix> adj,
+                                  const ag::Tensor& h) const {
+  ag::Tensor assign = ag::SoftmaxRows(assign_gnn_.Forward(adj, h));
+  return ag::MatMul(ag::Transpose(assign), h);
+}
+
+ag::Tensor DiffPool::PoolToOne(const ag::Tensor& h) const {
+  DBG4ETH_CHECK_EQ(num_clusters_, 1);
+  return ag::MatMul(ag::Tensor::Constant(Matrix::Ones(1, h.rows())), h);
+}
+
 std::vector<ag::Tensor> DiffPool::Parameters() const {
   return assign_gnn_.Parameters();
 }

@@ -35,6 +35,20 @@ class DiffPool : public Module {
   Output Forward(std::shared_ptr<const SparseMatrix> adj,
                  const ag::Tensor& h) const;
 
+  /// Pooled features M^T H alone, for a level whose pooled adjacency
+  /// nothing reads. Bit-identical to Forward(...).features.
+  ag::Tensor PoolFeatures(const ag::Tensor& adj, const ag::Tensor& h) const;
+  ag::Tensor PoolFeatures(std::shared_ptr<const SparseMatrix> adj,
+                          const ag::Tensor& h) const;
+
+  /// Pooling to a single cluster (requires num_clusters() == 1). A softmax
+  /// over one column is exactly 1 for every finite logit, so M^T H is the
+  /// row sum of H. It is taken as a row of ones times H — the MatMul kernel
+  /// and add order of M^T H — without running the assignment GNN or
+  /// reading an adjacency. Equal to Forward(...).features, and the skipped
+  /// GNN's parameter gradient was exactly zero.
+  ag::Tensor PoolToOne(const ag::Tensor& h) const;
+
   std::vector<ag::Tensor> Parameters() const override;
 
   int num_clusters() const { return num_clusters_; }

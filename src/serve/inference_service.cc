@@ -61,12 +61,14 @@ obs::Histogram* FastpathForwardHistogram() {
   return hist;
 }
 
-/// Activation-buffer bytes owned by the reporting worker's thread-local
-/// inference arena (steady state: the high-water footprint of one batch).
+/// Activation-buffer bytes allocated by the reporting worker's thread-local
+/// inference arena: the high-water mark of its live plus free buffers,
+/// which buffers recycled on release keep at one forward's peak working
+/// set.
 obs::Gauge* FastpathArenaGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
       "serve_fastpath_arena_bytes",
-      "Buffer bytes pooled in the worker's inference arena");
+      "Buffer bytes allocated by the worker's inference arena");
   return gauge;
 }
 

@@ -3,10 +3,19 @@
 // structural sensitivity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "core/gsg_encoder.h"
 #include "core/ldg_encoder.h"
+#include "gnn/conv.h"
+#include "gnn/diffpool.h"
+#include "gnn/gru.h"
+#include "gnn/linear.h"
+#include "tensor/inference.h"
 #include "tensor/ops.h"
 
 namespace dbg4eth {
@@ -154,6 +163,145 @@ TEST(LdgEncoderUnitTest, SameSeedSameScore) {
   LdgEncoder a(config), b(config);
   auto slices = SmallSlices(3);
   EXPECT_DOUBLE_EQ(a.PredictScore(slices), b.PredictScore(slices));
+}
+
+/// The LDG embedding with the full DiffPool pyramid at every level: the
+/// assignment GNN, pooled features and pooled adjacency, as
+/// gnn::DiffPool::Forward computes them. Built from the encoder's config
+/// with the same seed and draw order, so its parameters equal the
+/// encoder's (the trailing head excepted, which it does not need).
+class FullPyramidLdg {
+ public:
+  explicit FullPyramidLdg(const LdgEncoderConfig& config)
+      : rng_(config.seed),
+        input_proj_(config.node_feature_dim, config.hidden_dim, &rng_),
+        topo_gcn_(config.hidden_dim, config.hidden_dim, &rng_),
+        gru_(config.hidden_dim, &rng_) {
+    int clusters = config.first_level_clusters;
+    for (int level = 0; level < config.num_pooling_layers; ++level) {
+      const bool last = level + 1 == config.num_pooling_layers;
+      pools_.push_back(std::make_unique<gnn::DiffPool>(
+          config.hidden_dim, last ? 1 : std::max(2, clusters), &rng_));
+      clusters = std::max(2, clusters / 4);
+    }
+    slice_weights_ =
+        ag::Tensor::Parameter(Matrix(config.num_time_slices, 1));
+  }
+
+  ag::Tensor Embed(const std::vector<graph::Graph>& slices) const {
+    ag::Tensor h = ag::Tanh(
+        input_proj_.Forward(ag::Tensor::Constant(slices[0].node_features)));
+    std::vector<ag::Tensor> pooled_per_slice;
+    for (const graph::Graph& slice : slices) {
+      const auto adj = slice.WeightedAdjacencySparse();
+      h = gru_.Forward(ag::Relu(topo_gcn_.Forward(adj, h)), h);
+      gnn::DiffPool::Output pooled = pools_.front()->Forward(adj, h);
+      for (size_t level = 1; level < pools_.size(); ++level) {
+        pooled = pools_[level]->Forward(pooled.adjacency, pooled.features);
+      }
+      pooled_per_slice.push_back(pooled.features);
+    }
+    ag::Tensor alphas = ag::SoftmaxColVector(slice_weights_);
+    return ag::MatMul(ag::Transpose(alphas),
+                      ag::ConcatRowsList(pooled_per_slice));
+  }
+
+  /// LdgEncoder::Parameters() order, without the head.
+  std::vector<ag::Tensor> Parameters() const {
+    std::vector<ag::Tensor> params = input_proj_.Parameters();
+    for (const auto& p : topo_gcn_.Parameters()) params.push_back(p);
+    for (const auto& p : gru_.Parameters()) params.push_back(p);
+    for (const auto& pool : pools_) {
+      for (const auto& p : pool->Parameters()) params.push_back(p);
+    }
+    params.push_back(slice_weights_);
+    return params;
+  }
+
+ private:
+  Rng rng_;
+  gnn::Linear input_proj_;
+  gnn::GcnConv topo_gcn_;
+  gnn::GruCell gru_;
+  std::vector<std::unique_ptr<gnn::DiffPool>> pools_;
+  ag::Tensor slice_weights_;
+};
+
+std::vector<graph::Graph> PyramidSlices(int num_nodes, int t, uint64_t seed) {
+  Rng rng(seed);
+  const Matrix features = Matrix::Random(num_nodes, 15, &rng);
+  std::vector<graph::Graph> slices;
+  for (int k = 0; k < t; ++k) {
+    graph::Graph slice;
+    slice.num_nodes = num_nodes;
+    slice.node_features = features;
+    if (k != 1) {  // Slice 1 has no transactions.
+      for (int v = k % 2; v + 1 < num_nodes; v += 2) {
+        slice.edges.push_back({v, v + 1});
+        slice.edges.push_back({v, (v + 3) % num_nodes});
+      }
+      slice.edge_features = Matrix::Random(
+          static_cast<int>(slice.edges.size()), 1, &rng, 0.5, 9.0);
+    }
+    slices.push_back(std::move(slice));
+  }
+  return slices;
+}
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(LdgEncoderUnitTest, PyramidCutMatchesTheFullDiffPool) {
+  // The encoder skips the top level's assignment GNN (one cluster: its
+  // softmax is exactly 1) and the pooled adjacency only that GNN reads.
+  // Embeddings must stay bit-identical on the tape and the arena, and
+  // every parameter gradient equal; the skipped GNN's was exactly zero.
+  for (int levels = 1; levels <= 3; ++levels) {
+    SCOPED_TRACE("num_pooling_layers " + std::to_string(levels));
+    LdgEncoderConfig config;
+    config.hidden_dim = 8;
+    config.num_time_slices = 4;
+    config.num_pooling_layers = levels;
+    config.first_level_clusters = 8;
+    config.seed = 40 + levels;
+    LdgEncoder encoder(config);
+    FullPyramidLdg reference(config);
+    const auto slices = PyramidSlices(11, config.num_time_slices, levels);
+
+    const std::vector<ag::Tensor> params = encoder.Parameters();
+    const std::vector<ag::Tensor> ref_params = reference.Parameters();
+    ASSERT_EQ(params.size(), ref_params.size() + 2);  // + head W, b
+    for (size_t i = 0; i < ref_params.size(); ++i) {
+      ASSERT_TRUE(BitEqual(params[i].value(), ref_params[i].value()))
+          << "parameter " << i;
+    }
+
+    const ag::Tensor embedding = encoder.EmbedSlices(slices);
+    const ag::Tensor ref_embedding = reference.Embed(slices);
+    EXPECT_TRUE(BitEqual(embedding.value(), ref_embedding.value()));
+    {
+      ag::InferenceArena arena;
+      ag::InferenceScope scope(&arena);
+      EXPECT_TRUE(
+          BitEqual(encoder.EmbedSlices(slices).value(), ref_embedding.value()));
+    }
+
+    Rng rng(9);
+    const Matrix readout = Matrix::Random(config.hidden_dim, 1, &rng);
+    ag::MatMul(embedding, ag::Tensor::Constant(readout)).Backward();
+    ag::MatMul(ref_embedding, ag::Tensor::Constant(readout)).Backward();
+    for (size_t i = 0; i < ref_params.size(); ++i) {
+      const Matrix& ref_grad = ref_params[i].grad();
+      for (size_t k = 0; k < ref_grad.size(); ++k) {
+        const double grad =
+            params[i].has_grad() ? params[i].grad().data()[k] : 0.0;
+        ASSERT_EQ(grad, ref_grad.data()[k])
+            << "parameter " << i << ", entry " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

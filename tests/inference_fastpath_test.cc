@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <functional>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -420,6 +422,85 @@ TEST(InferenceArenaTest, HeldTensorsSurviveTheNextPass) {
   }
   EXPECT_DOUBLE_EQ(held.value().At(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(held.value().At(0, 1), 2.0);
+}
+
+TEST(InferenceArenaTest, ReleasedTensorsRecycleWithinThePass) {
+  // A buffer returns to the arena when its last handle drops, so a loop
+  // of same-shape temporaries reuses one buffer instead of holding 64
+  // until the pass ends.
+  ag::InferenceArena arena;
+  ag::InferenceScope scope(&arena);
+  ASSERT_TRUE(scope.bound());
+  const ag::Tensor x =
+      ag::Tensor::Constant(Matrix::FromFlat(2, 3, {-1, 2, -3, 4, -5, 6}));
+  for (int i = 0; i < 64; ++i) {
+    ag::Tensor t = ag::Relu(x);
+    EXPECT_DOUBLE_EQ(t.value().At(1, 2), 6.0);
+  }
+  EXPECT_GE(arena.pass_stats().buffers, 64u);
+  EXPECT_LE(arena.pass_stats().fresh_buffers, 2u);
+  EXPECT_LE(arena.pass_stats().fresh_nodes, 2u);
+}
+
+TEST(InferenceArenaTest, ReleaseOnAnotherThreadDeletesTheNode) {
+  // A tensor made on a worker and dropped on this thread while the
+  // worker's arena lives: the node is deleted here, never pushed onto the
+  // worker's stacks (TSan checks the no-touch half).
+  const Matrix m = Matrix::FromFlat(1, 2, {-1.0, 2.0});
+  std::promise<ag::Tensor> made;
+  std::promise<void> released;
+  uint64_t fresh_nodes = 0;
+  std::thread worker([&] {
+    {
+      ag::InferenceScope scope;
+      // The Constant recycles at the end of this statement; the Relu
+      // result leaves for the main thread.
+      made.set_value(ag::Relu(ag::Tensor::Constant(m)));
+    }
+    released.get_future().wait();
+    ag::InferenceScope scope;
+    ag::Tensor again = ag::Relu(ag::Tensor::Constant(m));
+    EXPECT_DOUBLE_EQ(again.value().At(0, 1), 2.0);
+    fresh_nodes = ag::InferenceArena::ThreadLocal()->pass_stats().fresh_nodes;
+  });
+  ag::Tensor held = made.get_future().get();
+  EXPECT_DOUBLE_EQ(held.value().At(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(held.value().At(0, 1), 2.0);
+  held = ag::Tensor();
+  released.set_value();
+  worker.join();
+  // One recycled node (the Constant's) and one fresh: the Relu node did
+  // not come back to the worker.
+  EXPECT_EQ(fresh_nodes, 1u);
+}
+
+TEST(InferenceArenaTest, ReleaseAfterTheArenaIsGoneDeletesTheNode) {
+  const Matrix m = Matrix::FromFlat(1, 2, {-1.0, 2.0});
+  ag::Tensor held;
+  {
+    ag::InferenceArena arena;
+    ag::InferenceScope scope(&arena);
+    held = ag::Relu(ag::Tensor::Constant(m));
+  }
+  EXPECT_DOUBLE_EQ(held.value().At(0, 1), 2.0);
+  // A successor arena may sit at the dead one's address; the release must
+  // not recycle into it.
+  ag::InferenceArena successor;
+  held = ag::Tensor();
+  {
+    ag::InferenceScope scope(&successor);
+    ag::Tensor t = ag::Tensor::Constant(m);
+    EXPECT_EQ(successor.pass_stats().fresh_nodes, 1u);
+  }
+
+  // Same after thread exit destroyed the worker's thread-local arena.
+  ag::Tensor from_exited;
+  std::thread([&] {
+    ag::InferenceScope scope;
+    from_exited = ag::Relu(ag::Tensor::Constant(m));
+  }).join();
+  EXPECT_DOUBLE_EQ(from_exited.value().At(0, 1), 2.0);
+  from_exited = ag::Tensor();
 }
 
 TEST(InferenceArenaTest, NestedScopesShareOnePass) {

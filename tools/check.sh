@@ -173,15 +173,17 @@ echo "=== perfbench self-test: a corrupted score must fail the run ==="
 python3 perfbench/run.py --self-test
 
 # The SIMD matmul kernels load and store vectors up to each row's tail,
-# and the sampler indexes the ledger's counterparty lists: run their
-# suites (and the ledger index's) under AddressSanitizer + UBSan.
+# the sampler indexes the ledger's counterparty lists, and the inference
+# arena recycles nodes from shared_ptr deleters (including releases on
+# other threads and after the arena is gone): run their suites (and the
+# ledger index's) under AddressSanitizer + UBSan.
 echo "=== asan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j --target dbg4eth_tests
 
-echo "=== asan: matrix kernel, sampling, ledger and CSV-ledger suites ==="
+echo "=== asan: matrix kernel, sampling, ledger, CSV-ledger and inference-arena suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest \
-    -R "^(Matrix|MatMulKernel|Sampling|SamplingEquivalence|Ledger|LedgerIndex|LedgerIndexDeath|CsvLedger)Test\\." \
+    -R "^(Matrix|MatMulKernel|Sampling|SamplingEquivalence|Ledger|LedgerIndex|LedgerIndexDeath|CsvLedger|InferenceArena|TapeFreeLayer|GsgFastPath|LdgFastPath)Test\\." \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
