@@ -350,10 +350,6 @@ int Run(const std::string& json_path) {
   eth::AppendableLedger growable(ledger);
   serve::InferenceServiceConfig degraded_config = MakeServeConfig(workload, 8);
   degraded_config.queue.capacity = 64;
-  // A tight pool bound makes the dispatcher block on Submit while a batch
-  // is scoring, so the flood reliably backs up into the admission queue
-  // instead of racing the dispatcher's drain rate.
-  degraded_config.pool_queue_capacity = 1;
   auto degraded_stream = std::stringstream(workload.checkpoint);
   auto degraded_created = serve::InferenceService::Create(
       degraded_config, &degraded_stream, &growable);

@@ -40,6 +40,8 @@ namespace failpoint {
 ///                     the probe set (simulates a poisoned/failed reload)
 ///   pool.task         ThreadPool worker, before running a task
 ///                     (sleep-only site: injected errors are ignored)
+///   serve.worker      InferenceService worker, after popping a batch and
+///                     before processing it (sleep-only site)
 ///   net.accept        HttpServer acceptor, after accept4 succeeds (the
 ///                     new socket is dropped, simulating accept storms)
 ///   net.conn_read     HttpServer event loop, before reading a connection

@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/inference.h"
@@ -24,7 +25,7 @@ double ElapsedUs(std::chrono::steady_clock::time_point since) {
 }
 
 /// Time a request spends between ScoreAsync admission and a worker
-/// picking it out of its batch (queueing + dispatch + pool hand-off).
+/// picking it out of its batch (queueing + batch forming).
 obs::Histogram* QueueWaitHistogram() {
   static obs::Histogram* hist = obs::MetricsRegistry::Global()->HistogramAt(
       "serve_queue_wait_us",
@@ -32,7 +33,7 @@ obs::Histogram* QueueWaitHistogram() {
   return hist;
 }
 
-/// Requests still queued after the dispatcher popped the current batch.
+/// Requests still queued after a worker popped its batch.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
       "serve_queue_depth", "Requests waiting in the admission queue");
@@ -72,6 +73,14 @@ obs::Gauge* FastpathArenaGauge() {
   return gauge;
 }
 
+/// Batches whose processing threw; the worker survives and moves on.
+obs::Counter* WorkerExceptionsCounter() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global()->CounterAt(
+      "serve_worker_exceptions_total",
+      "Batches whose processing threw an exception in a serving worker");
+  return counter;
+}
+
 /// Oversubscribing CPU-bound forward passes only adds context switching;
 /// cap the worker count at the hardware concurrency (0 = use all of it).
 int ClampWorkers(int requested) {
@@ -101,13 +110,15 @@ InferenceService::InferenceService(const InferenceServiceConfig& config,
       ledger_(ledger),
       cache_(config.cache),
       queue_(config.queue),
-      workers_(ClampWorkers(config.num_workers)),
-      pool_(workers_, config.pool_queue_capacity) {
+      workers_(ClampWorkers(config.num_workers)) {
   DBG4ETH_CHECK(model_ != nullptr);
   DBG4ETH_CHECK(ledger_ != nullptr);
   stats_.SetWorkers(workers_);
   ledger_height_.store(ledger_->transactions().size());
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  threads_.reserve(workers_);
+  for (int i = 0; i < workers_; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 InferenceService::~InferenceService() { Shutdown(); }
@@ -134,9 +145,11 @@ void InferenceService::SwapModel(std::shared_ptr<const core::Dbg4Eth> model,
 void InferenceService::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mu_);
   if (shutdown_.exchange(true)) return;
+  // Workers drain every admitted request before PopBatch reports the
+  // closed queue empty.
   queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.Shutdown();
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
 }
 
 void InferenceService::RefreshLedgerHeight() {
@@ -192,7 +205,7 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
   std::future<ScoreResult> future = request.promise->get_future();
 
   // Fast path: a cached score resolves without touching the queue, the
-  // pool, the sampler, or the model.
+  // workers, the sampler, or the model.
   if (auto cached =
           cache_.Get({address, request.ledger_height})) {
     ScoreResult result;
@@ -256,23 +269,21 @@ ScoreResult InferenceService::Score(eth::AccountId address) {
   return ScoreAsync(address).get();
 }
 
-void InferenceService::DispatchLoop() {
+void InferenceService::WorkerLoop() {
   std::vector<ScoreRequest> batch;
   while (queue_.PopBatch(&batch)) {
     stats_.RecordBatch(batch.size());
     QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
-    auto shared =
-        std::make_shared<std::vector<ScoreRequest>>(std::move(batch));
-    // Submit blocks when all workers are busy and the pool queue is full —
-    // that backpressure propagates to producers through the request queue.
-    if (!pool_.Submit([this, shared] { ProcessBatch(shared.get()); })) {
-      // Pool already shut down (service teardown); fail the batch.
-      for (const ScoreRequest& request : *shared) {
-        ResolveError(request,
-                     Status::FailedPrecondition("service is shut down"));
-      }
+    // Sleep-only injection point: simulates a slow or hung worker so chaos
+    // tests can race shutdown, deadlines and admission against it.
+    DBG4ETH_FAIL_POINT_APPLY("serve.worker");
+    try {
+      ProcessBatch(&batch);
+    } catch (...) {
+      // A throwing batch never kills the worker; its unresolved promises
+      // break when the next PopBatch clears the batch.
+      WorkerExceptionsCounter()->Inc();
     }
-    batch.clear();
   }
 }
 

@@ -17,7 +17,6 @@
 #include "serve/request_queue.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
-#include "serve/thread_pool.h"
 #include "serve/types.h"
 
 namespace dbg4eth {
@@ -35,9 +34,8 @@ struct InferenceServiceConfig {
   /// (bit-identical to scoring them one by one) instead of sequential
   /// per-request passes. Disable to force the sequential cold path.
   bool batch_forward = true;
-  /// Pending-batch bound of the worker pool (backpressure toward the
-  /// dispatcher, which in turn backpressures producers via the queue).
-  size_t pool_queue_capacity = 256;
+  /// The one bound on admitted-but-unstarted work is `queue.capacity`:
+  /// workers pop batches straight from it.
   RequestQueueConfig queue;
   ResultCacheConfig cache;
   /// Subgraph materialization parameters; must match how the model's
@@ -73,13 +71,15 @@ struct InferenceServiceConfig {
 /// Request path: `ScoreAsync(address)` first consults the sharded result
 /// cache keyed by (address, ledger height) — a hit resolves immediately,
 /// skipping both subgraph materialization and the forward pass. Misses are
-/// enqueued into the micro-batching RequestQueue; a dispatcher thread pops
-/// batches (full batch or max_wait_us, whichever first) and hands each
-/// batch to the worker pool. Workers dedupe identical addresses inside the
-/// batch, re-check the cache, materialize the account-centred subgraph
-/// (eth::MaterializeInstance), normalize it with the model's train-split
-/// statistics, run the double-graph forward pass, fill the cache and
-/// resolve the promises. Every outcome is recorded in ServerStats.
+/// enqueued into the micro-batching RequestQueue, from which each worker
+/// pops its own batches: full batch or max_wait_us, whichever first — the
+/// wait applies only while no other worker is idle, so a lone request
+/// never waits for a batch while a worker sits free. Workers dedupe
+/// identical addresses inside the batch, re-check the cache, materialize
+/// the account-centred subgraph (eth::MaterializeInstance), normalize it
+/// with the model's train-split statistics, run the double-graph forward
+/// pass, fill the cache and resolve the promises. Every outcome is
+/// recorded in ServerStats.
 ///
 /// Thread safety: the service holds the model as a
 /// `shared_ptr<const Dbg4Eth>` behind a mutex; each worker batch takes one
@@ -94,7 +94,7 @@ struct InferenceServiceConfig {
 class InferenceService {
  public:
   /// Restores the model from a checkpoint stream (Dbg4Eth::Save format)
-  /// and starts the dispatcher and worker threads.
+  /// and starts the worker threads.
   static Result<std::unique_ptr<InferenceService>> Create(
       const InferenceServiceConfig& config, std::istream* checkpoint,
       const eth::Ledger* ledger);
@@ -177,7 +177,8 @@ class InferenceService {
   };
   ModelRef SnapshotModel() const;
 
-  void DispatchLoop();
+  /// One worker: pops batches until the queue is closed and drained.
+  void WorkerLoop();
   void ProcessBatch(std::vector<ScoreRequest>* batch);
   /// Cold path: materialize + normalize + forward pass through `model`.
   Result<double> ScoreCold(const core::Dbg4Eth& model,
@@ -226,11 +227,9 @@ class InferenceService {
   ResultCache cache_;
   ServerStats stats_;
   RequestQueue queue_;
-  /// Resolved worker count; declared before pool_ so the clamp happens
-  /// before the pool spawns its threads.
+  /// Resolved worker count (config.num_workers clamped).
   int workers_;
-  ThreadPool pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> threads_;
   std::mutex shutdown_mu_;  ///< Serializes Shutdown callers.
   std::atomic<bool> shutdown_{false};
 };

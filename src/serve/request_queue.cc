@@ -42,16 +42,31 @@ RequestQueue::PushResult RequestQueue::TryPush(ScoreRequest request) {
 bool RequestQueue::PopBatch(std::vector<ScoreRequest>* out) {
   out->clear();
   std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-  if (queue_.empty()) return false;  // Closed and drained.
-
-  // The batch starts forming now; gather more requests until it is full,
-  // the wait bound expires, or the queue closes (then ship what we have).
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(config_.max_wait_us);
-  not_empty_.wait_until(lock, deadline, [this] {
-    return closed_ || static_cast<int>(queue_.size()) >= config_.max_batch;
-  });
+  // A batch another popper is holding open can no longer grow: anything
+  // arriving during its wait would come to this popper instead.
+  if (++poppers_ > 1 && filling_) not_empty_.notify_all();
+  for (;;) {
+    not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
+    if (queue_.empty()) {  // Closed and drained.
+      --poppers_;
+      return false;
+    }
+    if (poppers_ == 1) {
+      // The lone popper: gather more requests until the batch is full, the
+      // wait bound expires, the queue closes, or another popper turns up.
+      const auto deadline = std::chrono::steady_clock::now() +
+                            std::chrono::microseconds(config_.max_wait_us);
+      filling_ = true;
+      not_empty_.wait_until(lock, deadline, [this] {
+        return closed_ || poppers_ > 1 || queue_.empty() ||
+               static_cast<int>(queue_.size()) >= config_.max_batch;
+      });
+      filling_ = false;
+      // Another popper took the forming batch; wait for the next one.
+      if (queue_.empty()) continue;
+    }
+    break;
+  }
 
   const size_t take =
       std::min(queue_.size(), static_cast<size_t>(config_.max_batch));
@@ -60,6 +75,7 @@ bool RequestQueue::PopBatch(std::vector<ScoreRequest>* out) {
     out->push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
+  --poppers_;
   lock.unlock();
   not_full_.notify_all();
   return true;
@@ -82,6 +98,11 @@ bool RequestQueue::closed() const {
 size_t RequestQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
+}
+
+int RequestQueue::poppers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return poppers_;
 }
 
 }  // namespace serve

@@ -56,7 +56,7 @@ ServerStats::ServerStats(obs::MetricsRegistry* registry) {
   mirror_retries_ = reg->CounterAt(
       "serve_retries_total", "Cold-path retry attempts beyond the first");
   mirror_batches_ = reg->CounterAt("serve_batches_total",
-                                   "Micro-batches dispatched to the pool");
+                                   "Micro-batches popped by serving workers");
   const char* kLatencyHelp =
       "End-to-end request latency in microseconds by path";
   mirror_latency_cold_ = reg->HistogramAt("serve_latency_us", kLatencyHelp,

@@ -268,7 +268,7 @@ TEST_F(ServeChaosTest, IngestFailpointsInject) {
 TEST_F(ServeChaosTest, SlowPoolTasksDoNotLoseRequests) {
   SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
-      failpoint::Enable("pool.task", failpoint::SleepFor(1'000)).ok());
+      failpoint::Enable("serve.worker", failpoint::SleepFor(1'000)).ok());
   auto service = MakeService(ServiceConfig(/*workers=*/2), ledger_);
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
@@ -281,7 +281,39 @@ TEST_F(ServeChaosTest, SlowPoolTasksDoNotLoseRequests) {
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().ok());  // Slow, not lost.
   }
-  EXPECT_GT(failpoint::FireCount("pool.task"), 0u);
+  EXPECT_GT(failpoint::FireCount("serve.worker"), 0u);
+}
+
+// Workers pull batches straight from the request queue, so its capacity
+// is the one bound on admitted-but-unstarted work: with the lone worker
+// stuck on its first batch, at most 1 + capacity of 20 requests are
+// admitted and the rest shed.
+TEST_F(ServeChaosTest, RequestQueueIsTheOnlyAdmissionBound) {
+  SKIP_WITHOUT_FAILPOINTS();
+  InferenceServiceConfig config = ServiceConfig(/*workers=*/1);
+  config.queue.capacity = 4;
+  config.queue.max_batch = 1;
+  ASSERT_TRUE(
+      failpoint::Enable("serve.worker", failpoint::SleepFor(200'000)).ok());
+  auto service = MakeService(config, ledger_);
+  std::vector<eth::AccountId> addresses =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  const auto bridges = ledger_->AccountsOfClass(eth::AccountClass::kBridge);
+  addresses.insert(addresses.end(), bridges.begin(), bridges.end());
+
+  std::vector<std::future<ScoreResult>> futures;
+  for (int i = 0; i < 20; ++i) {
+    futures.push_back(service->ScoreAsync(addresses[i % addresses.size()]));
+    // Paced arrivals give any hidden second queue time to drain this one
+    // between requests; all 20 still land inside the first batch's stall.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  uint64_t shed = 0;
+  for (auto& future : futures) {
+    if (future.get().status.code() == StatusCode::kResourceExhausted) ++shed;
+  }
+  EXPECT_GE(shed, 14u);
+  EXPECT_EQ(service->StatsSnapshot().shed, shed);
 }
 
 // The TSan centerpiece: concurrent clients with mixed deadlines, a cold
@@ -301,7 +333,7 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
                   failpoint::WithProbability(0.25, /*seed=*/0xc4a05))
                   .ok());
   ASSERT_TRUE(
-      failpoint::Enable("pool.task", failpoint::SleepFor(200)).ok());
+      failpoint::Enable("serve.worker", failpoint::SleepFor(200)).ok());
 
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <future>
@@ -200,6 +201,31 @@ TEST_F(ServeIntegrationTest, ServiceScoresMatchDirectModelCalls) {
     const double expected = model_->PredictProba(inst.ValueOrDie());
     EXPECT_DOUBLE_EQ(result.probability, expected);
   }
+}
+
+TEST_F(ServeIntegrationTest, TwoWorkersScoreALoneRequestWithoutBatchWait) {
+  std::stringstream checkpoint(*checkpoint_);
+  InferenceServiceConfig config = ServiceConfig(2);
+  // A batch that can never fill and a 5 s wait bound: only the idle second
+  // worker lets the lone request ship at once.
+  config.queue.max_batch = 64;
+  config.queue.max_wait_us = 5'000'000;
+  auto created = InferenceService::Create(config, &checkpoint, ledger_);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto& service = *created.ValueOrDie();
+  if (service.num_workers() < 2) {
+    GTEST_SKIP() << "needs 2 hardware threads for 2 workers";
+  }
+
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  const auto start = std::chrono::steady_clock::now();
+  const ScoreResult result = service.Score(exchanges.front());
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  ASSERT_TRUE(result.ok()) << result.status.ToString();
+  EXPECT_LT(elapsed_s, 1.0);
 }
 
 TEST_F(ServeIntegrationTest, RepeatQueriesHitTheCache) {

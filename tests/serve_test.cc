@@ -7,10 +7,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "serve/request_queue.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
-#include "serve/thread_pool.h"
 
 namespace dbg4eth {
 namespace serve {
@@ -184,6 +184,76 @@ TEST(RequestQueueTest, CloseWakesBlockedPopper) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   queue.Close();
   popper.join();
+}
+
+TEST(RequestQueueTest, LoneRequestSkipsFillWaitWhileAnotherPopperIsIdle) {
+  RequestQueueConfig config;
+  config.max_batch = 8;
+  config.max_wait_us = 5'000'000;  // 5s: a fill wait would be obvious.
+  RequestQueue queue(config);
+  std::atomic<int> popped{0};
+  std::vector<std::thread> poppers;
+  for (int i = 0; i < 2; ++i) {
+    poppers.emplace_back([&] {
+      std::vector<ScoreRequest> batch;
+      while (queue.PopBatch(&batch)) {
+        popped.fetch_add(static_cast<int>(batch.size()));
+      }
+    });
+  }
+  while (queue.poppers() < 2) std::this_thread::yield();
+
+  const auto start = steady_clock::now();
+  ASSERT_TRUE(queue.Push(MakeRequest(7)));
+  while (popped.load() < 1) std::this_thread::yield();
+  const double elapsed_s =
+      std::chrono::duration<double>(steady_clock::now() - start).count();
+  EXPECT_LT(elapsed_s, 1.0);
+  queue.Close();
+  for (std::thread& popper : poppers) popper.join();
+  EXPECT_EQ(popped.load(), 1);
+}
+
+TEST(RequestQueueTest, ConcurrentPoppersNeverReturnAnEmptyBatch) {
+  RequestQueueConfig config;
+  config.max_batch = 4;
+  config.max_wait_us = 50;
+  config.capacity = 64;
+  RequestQueue queue(config);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2'000;
+  std::atomic<int> popped{0};
+  std::atomic<int> empty_batches{0};
+  std::atomic<int> oversized_batches{0};
+  std::vector<std::thread> poppers;
+  for (int i = 0; i < 4; ++i) {
+    poppers.emplace_back([&] {
+      std::vector<ScoreRequest> batch;
+      while (queue.PopBatch(&batch)) {
+        if (batch.empty()) empty_batches.fetch_add(1);
+        if (batch.size() > 4) oversized_batches.fetch_add(1);
+        popped.fetch_add(static_cast<int>(batch.size()));
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_TRUE(queue.Push(MakeRequest(p * kPerProducer + i)));
+        // Vary the arrival pattern so batches form at every size, and
+        // poppers race over forming batches as well as full ones.
+        if (i % 7 == 0) std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  queue.Close();
+  for (std::thread& popper : poppers) popper.join();
+  EXPECT_EQ(empty_batches.load(), 0);
+  EXPECT_EQ(oversized_batches.load(), 0);
+  EXPECT_EQ(popped.load(), kProducers * kPerProducer);
+  EXPECT_EQ(queue.poppers(), 0);
 }
 
 // --------------------------------------------------------------------------
