@@ -83,11 +83,12 @@ void BM_GatForwardBackward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(2);
   gnn::GatConv conv(16, 16, 2, &rng);
-  Matrix mask = Matrix::Ones(n, n);
+  const auto support = std::make_shared<const SparseMatrix>(
+      SparseMatrix::FromDense(Matrix::Ones(n, n)));
   Matrix x = Matrix::Random(n, 16, &rng);
   for (auto _ : state) {
     ag::Tensor input = ag::Tensor::Constant(x);
-    ag::Tensor loss = ag::SumAll(conv.Forward(input, mask));
+    ag::Tensor loss = ag::SumAll(conv.Forward(input, support));
     loss.Backward();
     benchmark::DoNotOptimize(loss.ScalarValue());
   }

@@ -337,11 +337,9 @@ Result<EvaluationReport> RunBaseline(BaselineKind kind,
                                                 2, &rng);
       params = gnn::JoinParameters({conv1.get(), conv2.get(), head.get()});
       forward = [=](const eth::GraphInstance& inst) {
-        const Matrix& mask = inst.gsg.AttentionMask();
         const auto support = inst.gsg.AttentionMaskSparse();
-        ag::Tensor h =
-            ag::Elu(conv1->Forward(node_input(inst), mask, support));
-        h = ag::Elu(conv2->Forward(h, mask, support));
+        ag::Tensor h = ag::Elu(conv1->Forward(node_input(inst), support));
+        h = ag::Elu(conv2->Forward(h, support));
         return head->Forward(ag::MeanPoolRows(h));
       };
       break;

@@ -39,29 +39,7 @@ GatConv::GatConv(int in_features, int out_features, int num_heads, Rng* rng,
   }
 }
 
-ag::Tensor GatConv::Forward(const ag::Tensor& x, const Matrix& mask) const {
-  return Forward(x, mask, nullptr);
-}
-
 ag::Tensor GatConv::Forward(
-    const ag::Tensor& x, const Matrix& mask,
-    const std::shared_ptr<const SparseMatrix>& support) const {
-  ag::Tensor out;
-  for (int h = 0; h < num_heads_; ++h) {
-    ag::Tensor hw = ag::MatMul(x, weights_[h]);
-    ag::Tensor u = ag::MatMul(hw, attn_src_[h]);
-    ag::Tensor v = ag::MatMul(hw, attn_dst_[h]);
-    ag::Tensor scores =
-        ag::LeakyRelu(ag::PairwiseSum(u, v), negative_slope_);
-    ag::Tensor alpha = ag::MaskedSoftmaxRows(scores, mask);
-    ag::Tensor head = support != nullptr ? ag::MaskedSpMatMul(support, alpha, hw)
-                                         : ag::MatMul(alpha, hw);
-    out = h == 0 ? head : ag::ConcatCols(out, head);
-  }
-  return out;
-}
-
-ag::Tensor GatConv::ForwardPacked(
     const ag::Tensor& x,
     const std::shared_ptr<const SparseMatrix>& support) const {
   DBG4ETH_CHECK(support != nullptr);

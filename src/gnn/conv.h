@@ -40,7 +40,7 @@ class GcnConv : public Module {
 /// \brief Multi-head graph attention (Velickovic et al.).
 ///
 /// Per head: e_ij = LeakyReLU(a_src . (W h_i) + a_dst . (W h_j)) restricted
-/// to the support mask, alpha = softmax_j(e_ij), h'_i = sum_j alpha_ij W h_j.
+/// to the support, alpha = softmax_j(e_ij), h'_i = sum_j alpha_ij W h_j.
 /// Heads are concatenated.
 class GatConv : public Module {
  public:
@@ -48,24 +48,13 @@ class GatConv : public Module {
   GatConv(int in_features, int out_features, int num_heads, Rng* rng,
           double negative_slope = 0.2);
 
-  /// `mask` is the attention support (adjacency + self loops).
-  ag::Tensor Forward(const ag::Tensor& x, const Matrix& mask) const;
-
-  /// Mask-sparse variant: `support` is the CSR form of `mask` (from
-  /// Graph::AttentionMaskSparse()); the alpha @ hW head product and its
-  /// backward only touch support entries. Final parameter gradients are
-  /// bit-identical to the dense overload.
-  ag::Tensor Forward(const ag::Tensor& x, const Matrix& mask,
+  /// `support` is the attention support (adjacency + self loops) in CSR
+  /// form, from Graph::AttentionMaskSparse(). Attention coefficients come
+  /// from the fused MaskedAttentionAlpha kernel and the alpha @ hW head
+  /// product from MaskedSpMatMul, so forward and backward do O(nnz) work
+  /// and no dense N x N score matrix is built.
+  ag::Tensor Forward(const ag::Tensor& x,
                      const std::shared_ptr<const SparseMatrix>& support) const;
-
-  /// Support-only variant for block-diagonal packed batches: attention
-  /// coefficients come from the fused MaskedAttentionAlpha kernel, so no
-  /// dense N x N score matrix is built (N being the packed micro-batch's
-  /// total node count). Each block's output rows are bit-identical to the
-  /// other overloads run on that block alone.
-  ag::Tensor ForwardPacked(
-      const ag::Tensor& x,
-      const std::shared_ptr<const SparseMatrix>& support) const;
 
   std::vector<ag::Tensor> Parameters() const override;
 

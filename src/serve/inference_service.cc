@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/inference.h"
 
 namespace dbg4eth {
 namespace serve {
@@ -37,39 +36,6 @@ obs::Histogram* QueueWaitHistogram() {
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
       "serve_queue_depth", "Requests waiting in the admission queue");
-  return gauge;
-}
-
-obs::Counter* FastpathBatchesCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global()->CounterAt(
-      "serve_fastpath_batches_total",
-      "Cold-request groups scored through one packed block-diagonal "
-      "forward");
-  return counter;
-}
-
-obs::Histogram* FastpathBatchSizeHistogram() {
-  static obs::Histogram* hist = obs::MetricsRegistry::Global()->HistogramAt(
-      "serve_fastpath_batch_size",
-      "Distinct cold requests per packed forward");
-  return hist;
-}
-
-obs::Histogram* FastpathForwardHistogram() {
-  static obs::Histogram* hist = obs::MetricsRegistry::Global()->HistogramAt(
-      "serve_fastpath_forward_us",
-      "Wall time of one packed block-diagonal forward, microseconds");
-  return hist;
-}
-
-/// Activation-buffer bytes allocated by the reporting worker's thread-local
-/// inference arena: the high-water mark of its live plus free buffers,
-/// which buffers recycled on release keep at one forward's peak working
-/// set.
-obs::Gauge* FastpathArenaGauge() {
-  static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
-      "serve_fastpath_arena_bytes",
-      "Buffer bytes allocated by the worker's inference arena");
   return gauge;
 }
 
@@ -355,75 +321,21 @@ void InferenceService::ProcessBatch(std::vector<ScoreRequest>* batch) {
   }
   if (cold_order.empty()) return;
 
-  // Pass 2 — score the cold groups. A single group (or a disabled fast
-  // path) takes the sequential route: one score_cold span covering
-  // prepare + forward, exactly as before batching. The representative's
-  // trace context is active for the whole group score, so the span tree
-  // lands in the tracer stamped with that request's trace id.
-  if (cold_order.size() == 1 || !config_.batch_forward) {
-    for (uint64_t packed : cold_order) {
-      const std::vector<ScoreRequest*>& group = cold[packed];
-      obs::ScopedTraceContext trace_ctx(group.front()->trace_id);
-      int retries = 0;
-      Result<double> proba =
-          ScoreColdWithRetry(*ref.model, *group.front(), &retries);
-      if (!proba.ok()) {
-        ResolveColdFailure(group, proba.status());
-        continue;
-      }
-      FinishColdGroup(group, proba.ValueOrDie(), retries, ref.generation);
-    }
-    return;
-  }
-
-  // Fast path: prepare each group's instance (same per-request score_cold
-  // span, fail point, and retry budget as the sequential route), then
-  // score every prepared instance in one fused block-diagonal forward per
-  // branch. A group whose preparation fails drops out; the others still
-  // share the packed pass.
-  std::vector<uint64_t> ready;
-  std::vector<eth::GraphInstance> instances;
-  std::vector<int> retries;
-  ready.reserve(cold_order.size());
-  instances.reserve(cold_order.size());
-  retries.reserve(cold_order.size());
+  // Pass 2 — score each cold group: one score_cold span covering
+  // materialize + forward. The representative's trace context is active
+  // for the whole group score, so the span tree lands in the tracer
+  // stamped with that request's trace id.
   for (uint64_t packed : cold_order) {
     const std::vector<ScoreRequest*>& group = cold[packed];
     obs::ScopedTraceContext trace_ctx(group.front()->trace_id);
-    obs::TraceSpan span("score_cold");
-    int group_retries = 0;
-    Result<eth::GraphInstance> instance =
-        PrepareColdWithRetry(*ref.model, *group.front(), &group_retries);
-    if (!instance.ok()) {
-      span.SetError();
-      span.End();
-      ResolveColdFailure(group, instance.status());
+    int retries = 0;
+    Result<double> proba =
+        ScoreColdWithRetry(*ref.model, *group.front(), &retries);
+    if (!proba.ok()) {
+      ResolveColdFailure(group, proba.status());
       continue;
     }
-    span.End();
-    ready.push_back(packed);
-    instances.push_back(std::move(instance).ValueOrDie());
-    retries.push_back(group_retries);
-  }
-  if (ready.empty()) return;
-
-  std::vector<const eth::GraphInstance*> instance_ptrs;
-  instance_ptrs.reserve(instances.size());
-  for (const eth::GraphInstance& instance : instances) {
-    instance_ptrs.push_back(&instance);
-  }
-  std::vector<double> probs;
-  {
-    obs::TraceSpan packed_span("packed_forward");
-    obs::ScopedTimer forward_timer(FastpathForwardHistogram());
-    probs = ref.model->PredictProbaBatch(instance_ptrs);
-  }
-  FastpathBatchesCounter()->Inc();
-  FastpathBatchSizeHistogram()->Record(static_cast<double>(ready.size()));
-  FastpathArenaGauge()->Set(static_cast<double>(
-      ag::InferenceArena::ThreadLocal()->owned_bytes()));
-  for (size_t i = 0; i < ready.size(); ++i) {
-    FinishColdGroup(cold[ready[i]], probs[i], retries[i], ref.generation);
+    FinishColdGroup(group, proba.ValueOrDie(), retries, ref.generation);
   }
 }
 
@@ -579,36 +491,6 @@ Result<eth::GraphInstance> InferenceService::PrepareCold(
     model.Normalize(&instance);
   }
   return instance;
-}
-
-Result<eth::GraphInstance> InferenceService::PrepareColdWithRetry(
-    const core::Dbg4Eth& model, const ScoreRequest& request, int* retries) {
-  // Same loop as ScoreColdWithRetry, retrying preparation (the fail point
-  // and materialization live there) instead of the full score.
-  *retries = 0;
-  for (;;) {
-    if (request.expired(std::chrono::steady_clock::now())) {
-      return Status::DeadlineExceeded("deadline expired before scoring");
-    }
-    Result<eth::GraphInstance> instance = PrepareCold(model, request.address);
-    if (instance.ok() || !instance.status().IsTransient() ||
-        *retries >= config_.max_cold_retries) {
-      return instance;
-    }
-    ++*retries;
-    stats_.RecordRetry();
-    int64_t backoff_us = config_.retry_backoff_us * *retries;
-    if (request.has_deadline) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              request.deadline - std::chrono::steady_clock::now())
-              .count();
-      backoff_us = std::min(backoff_us, std::max<int64_t>(0, remaining));
-    }
-    if (backoff_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-  }
 }
 
 }  // namespace serve

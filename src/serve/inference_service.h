@@ -29,11 +29,6 @@ struct InferenceServiceConfig {
   /// see DESIGN.md "Inference fast path"). 0 = one per hardware thread.
   /// The resolved count is reported in ServerStats::Snapshot::workers.
   int num_workers = 4;
-  /// When a dispatched batch holds two or more distinct cold requests,
-  /// score them through one fused block-diagonal forward per branch
-  /// (bit-identical to scoring them one by one) instead of sequential
-  /// per-request passes. Disable to force the sequential cold path.
-  bool batch_forward = true;
   /// The one bound on admitted-but-unstarted work is `queue.capacity`:
   /// workers pop batches straight from it.
   RequestQueueConfig queue;
@@ -188,25 +183,18 @@ class InferenceService {
   Result<double> ScoreColdWithRetry(const core::Dbg4Eth& model,
                                     const ScoreRequest& request,
                                     int* retries);
-  /// Cold-path preparation only (fail point, materialize, normalize) —
-  /// the forward pass is deferred so several prepared instances can share
-  /// one packed forward.
+  /// The cold path before the forward pass: fail point, materialize,
+  /// normalize.
   Result<eth::GraphInstance> PrepareCold(const core::Dbg4Eth& model,
                                          eth::AccountId address) const;
-  /// PrepareCold with the same transient-failure retry loop as
-  /// ScoreColdWithRetry.
-  Result<eth::GraphInstance> PrepareColdWithRetry(const core::Dbg4Eth& model,
-                                                  const ScoreRequest& request,
-                                                  int* retries);
   /// Resolves every request of one deduplicated cold group with the
   /// group's probability; `retries` belongs to the representative (first)
   /// request, duplicates count as in-batch cache hits.
   void FinishColdGroup(const std::vector<ScoreRequest*>& group,
                        double probability, int retries,
                        uint64_t model_generation);
-  /// Resolves every request of a cold group whose scoring failed, with
-  /// the per-status handling of the sequential path (deadline / stale
-  /// fallback / error).
+  /// Resolves every request of a cold group whose scoring failed, per
+  /// status (deadline / stale fallback / error).
   void ResolveColdFailure(const std::vector<ScoreRequest*>& group,
                           const Status& status);
   /// Resolves `request` from the newest stale cache entry below its

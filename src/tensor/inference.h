@@ -124,9 +124,8 @@ class InferenceArena {
 /// Tensor constructed) computes its value only — no autograd nodes, no
 /// parent edges, no backward closures — drawing storage from the bound
 /// arena. Values are bit-identical to the tape forward. Nested scopes are
-/// no-ops (the outermost scope owns the pass and its PassStats), so
-/// composed entry points (PredictProbaBatch -> PredictScoreBatch) share
-/// one pass. Closing a scope reclaims nothing: tensors made under it stay
+/// no-ops (the outermost scope owns the pass and its PassStats), so a
+/// caller's scope around several PredictProba calls makes them one pass. Closing a scope reclaims nothing: tensors made under it stay
 /// valid while held and recycle when their last handle drops.
 ///
 /// Do NOT use around anything that needs gradients: Backward() on a

@@ -45,9 +45,9 @@ Tensor MaskedSpMatMul(std::shared_ptr<const SparseMatrix> support,
 /// Bit-identical per entry to
 /// MaskedSoftmaxRows(LeakyRelu(PairwiseSum(u, v)), mask) when mask has the
 /// support's pattern, but does O(nnz) work instead of materializing the
-/// dense N x N score matrix — essential for the block-diagonal packed
-/// forward, where N is the whole micro-batch's node count. u (N x 1) and
-/// v (M x 1) receive gradients.
+/// dense N x N score matrix. The backward adds in the same order as the
+/// composed ops' backward, so u (N x 1) and v (M x 1) receive bit-identical
+/// gradients.
 Tensor MaskedAttentionAlpha(std::shared_ptr<const SparseMatrix> support,
                             const Tensor& u, const Tensor& v,
                             double negative_slope = 0.2);

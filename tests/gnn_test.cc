@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/optimizer.h"
@@ -12,6 +16,7 @@
 #include "gnn/transformer.h"
 #include "graph/graph.h"
 #include "tensor/gradcheck.h"
+#include "tensor/inference.h"
 #include "tensor/ops.h"
 
 namespace dbg4eth {
@@ -85,7 +90,7 @@ TEST(GatConvTest, HeadsConcatAndAttentionNormalized) {
   graph::Graph g = TestGraph();
   GatConv conv(3, 4, /*num_heads=*/2, &rng);
   ag::Tensor x = RandomInput(5, 3, &rng);
-  ag::Tensor y = conv.Forward(x, g.AttentionMask());
+  ag::Tensor y = conv.Forward(x, g.AttentionMaskSparse());
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 8);  // 2 heads x 4
   EXPECT_EQ(conv.Parameters().size(), 6u);
@@ -96,10 +101,107 @@ TEST(GatConvTest, GradCheck) {
   graph::Graph g = TestGraph();
   GatConv conv(3, 2, 2, &rng);
   ag::Tensor x = RandomInput(5, 3, &rng);
-  const Matrix mask = g.AttentionMask();
-  auto loss = [&] { return ag::SumAll(ag::Tanh(conv.Forward(x, mask))); };
+  const auto support = g.AttentionMaskSparse();
+  auto loss = [&] { return ag::SumAll(ag::Tanh(conv.Forward(x, support))); };
   auto res = ag::CheckGradients(loss, conv.Parameters(), 1e-5, 1e-3);
   EXPECT_TRUE(res.passed) << res.max_rel_error;
+}
+
+/// The dense composed GAT head the fused forward replaces: PairwiseSum ->
+/// LeakyRelu -> MaskedSoftmaxRows over the dense mask, then the
+/// support-only alpha @ hW product. Parameters are read from `conv` in
+/// its (W, a_src, a_dst) per-head order.
+ag::Tensor ComposedGatForward(const GatConv& conv, const ag::Tensor& x,
+                              const graph::Graph& g) {
+  const std::vector<ag::Tensor> params = conv.Parameters();
+  ag::Tensor out;
+  for (int h = 0; h < conv.num_heads(); ++h) {
+    ag::Tensor hw = ag::MatMul(x, params[3 * h]);
+    ag::Tensor u = ag::MatMul(hw, params[3 * h + 1]);
+    ag::Tensor v = ag::MatMul(hw, params[3 * h + 2]);
+    ag::Tensor scores = ag::LeakyRelu(ag::PairwiseSum(u, v), 0.2);
+    ag::Tensor alpha = ag::MaskedSoftmaxRows(scores, g.AttentionMask());
+    ag::Tensor head = ag::MaskedSpMatMul(g.AttentionMaskSparse(), alpha, hw);
+    out = h == 0 ? head : ag::ConcatCols(out, head);
+  }
+  return out;
+}
+
+bool BytesEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Random graph over `n` nodes; `self_transfers` adds some (v, v) edges.
+graph::Graph RandomGraph(int n, int num_edges, bool self_transfers,
+                         Rng* rng) {
+  graph::Graph g;
+  g.num_nodes = n;
+  for (int e = 0; e < num_edges; ++e) {
+    g.edges.push_back({rng->UniformInt(n), rng->UniformInt(n)});
+  }
+  if (self_transfers) {
+    for (int v = 0; v < n; v += 2) g.edges.push_back({v, v});
+  }
+  return g;
+}
+
+TEST(GatConvTest, ForwardAndGradientsMatchComposedAttentionBitForBit) {
+  Rng rng(8);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(RandomGraph(1, 0, /*self_transfers=*/false, &rng));
+  graphs.push_back(RandomGraph(1, 0, /*self_transfers=*/true, &rng));
+  graphs.push_back(TestGraph());
+  graphs.push_back(RandomGraph(7, 9, /*self_transfers=*/true, &rng));
+  graphs.push_back(RandomGraph(12, 30, /*self_transfers=*/false, &rng));
+  graphs.push_back(RandomGraph(20, 15, /*self_transfers=*/true, &rng));
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    const graph::Graph& g = graphs[i];
+    GatConv conv(3, 4, /*num_heads=*/2, &rng);
+    ag::Tensor x = ag::Tensor::Parameter(
+        Matrix::Random(g.num_nodes, 3, &rng, -1.0, 1.0));
+    const Matrix weights = Matrix::Random(g.num_nodes, 8, &rng, -1.0, 1.0);
+    std::vector<ag::Tensor> leaves = conv.Parameters();
+    leaves.push_back(x);
+
+    // Forward values, on the tape and under an inference arena.
+    const Matrix reference = ComposedGatForward(conv, x, g).value();
+    EXPECT_TRUE(
+        BytesEqual(conv.Forward(x, g.AttentionMaskSparse()).value(),
+                   reference));
+    {
+      ag::InferenceArena arena;
+      ag::InferenceScope scope(&arena);
+      ASSERT_TRUE(scope.bound());
+      EXPECT_TRUE(
+          BytesEqual(conv.Forward(x, g.AttentionMaskSparse()).value(),
+                     reference));
+      EXPECT_TRUE(BytesEqual(ComposedGatForward(conv, x, g).value(),
+                             reference));
+    }
+
+    // One backward each: every parameter gradient and the input gradient.
+    auto grads_of = [&](const ag::Tensor& out) {
+      for (ag::Tensor& leaf : leaves) leaf.ZeroGrad();
+      ag::SumAll(ag::Mul(out, ag::Tensor::Constant(weights))).Backward();
+      std::vector<Matrix> grads;
+      for (const ag::Tensor& leaf : leaves) grads.push_back(leaf.grad());
+      return grads;
+    };
+    const std::vector<Matrix> want = grads_of(ComposedGatForward(conv, x, g));
+    const std::vector<Matrix> got =
+        grads_of(conv.Forward(x, g.AttentionMaskSparse()));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[k].rows(), want[k].rows());
+      ASSERT_EQ(got[k].cols(), want[k].cols());
+      for (size_t e = 0; e < want[k].size(); ++e) {
+        EXPECT_EQ(got[k].data()[e], want[k].data()[e])
+            << "leaf " << k << " entry " << e;
+      }
+    }
+  }
 }
 
 TEST(GinConvTest, GradCheckAndShapes) {

@@ -1,6 +1,6 @@
 // Grad-free inference fast path: bit-exactness of the tape-free forward
-// (every GNN layer and both branch encoders), block-diagonal micro-batch
-// scoring, arena buffer reuse, and the zero-allocation steady state.
+// (every GNN layer and both branch encoders), arena buffer reuse, and the
+// zero-allocation steady state.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "gnn/linear.h"
 #include "gnn/transformer.h"
 #include "graph/graph.h"
-#include "graph/pack.h"
 #include "tensor/gradcheck.h"
 #include "tensor/inference.h"
 #include "tensor/ops.h"
@@ -110,24 +109,13 @@ TEST(TapeFreeLayerTest, GcnConvDenseAndSparse) {
   });
 }
 
-TEST(TapeFreeLayerTest, GatConvMaskedAndPacked) {
+TEST(TapeFreeLayerTest, GatConv) {
   Rng rng(3);
   graph::Graph g = MakeGraph(7, 3, 12);
   gnn::GatConv conv(3, 4, /*num_heads=*/2, &rng);
   const Matrix x = Matrix::Random(7, 3, &rng, -1.0, 1.0);
-  const Matrix tape = ExpectTapeFreeMatchesTape([&] {
-    return conv.Forward(ag::Tensor::Constant(x), g.AttentionMask(),
-                        g.AttentionMaskSparse());
-  });
-  // The packed (fused-attention) forward must match the composed one bit
-  // for bit on the tape and under the arena.
-  const Matrix packed_tape =
-      conv.ForwardPacked(ag::Tensor::Constant(x), g.AttentionMaskSparse())
-          .value();
-  ExpectBitEqual(packed_tape, tape);
   ExpectTapeFreeMatchesTape([&] {
-    return conv.ForwardPacked(ag::Tensor::Constant(x),
-                              g.AttentionMaskSparse());
+    return conv.Forward(ag::Tensor::Constant(x), g.AttentionMaskSparse());
   });
 }
 
@@ -199,7 +187,7 @@ TEST(TapeFreeLayerTest, GraphTransformer) {
 }
 
 // --------------------------------------------------------------------------
-// The fused attention op behind the packed GAT forward.
+// The fused attention op behind the GAT forward.
 // --------------------------------------------------------------------------
 
 TEST(MaskedAttentionAlphaTest, MatchesComposedSoftmaxBitForBit) {
@@ -238,49 +226,7 @@ TEST(MaskedAttentionAlphaTest, GradCheck) {
 }
 
 // --------------------------------------------------------------------------
-// Block-diagonal packing primitives.
-// --------------------------------------------------------------------------
-
-TEST(PackedBlocksTest, ConcatBlockDiagonalShiftsColumns) {
-  graph::Graph a = MakeGraph(3, 2, 21);
-  graph::Graph b = MakeGraph(5, 2, 22);
-  const graph::PackedBlocks pack = graph::MakePackedBlocks({3, 5});
-  EXPECT_EQ(pack.total_nodes, 8);
-  EXPECT_EQ(pack.begin(1), 3);
-  EXPECT_EQ(pack.end(1), 8);
-  const auto packed = graph::ConcatBlockDiagonal(
-      pack, {a.AttentionMaskSparse(), b.AttentionMaskSparse()});
-  const Matrix dense_a = a.AttentionMask();
-  const Matrix dense_b = b.AttentionMask();
-  const Matrix dense_packed = packed->ToDense();
-  ASSERT_EQ(dense_packed.rows(), 8);
-  ASSERT_EQ(dense_packed.cols(), 8);
-  for (int r = 0; r < 8; ++r) {
-    for (int c = 0; c < 8; ++c) {
-      double expected = 0.0;
-      if (r < 3 && c < 3) expected = dense_a.At(r, c);
-      if (r >= 3 && c >= 3) expected = dense_b.At(r - 3, c - 3);
-      EXPECT_DOUBLE_EQ(dense_packed.At(r, c), expected)
-          << "(" << r << "," << c << ")";
-    }
-  }
-}
-
-TEST(PackedBlocksTest, StackBlockRowsConcatenates) {
-  Rng rng(23);
-  const Matrix a = Matrix::Random(2, 3, &rng);
-  const Matrix b = Matrix::Random(4, 3, &rng);
-  const Matrix stacked = graph::StackBlockRows({&a, &b});
-  ASSERT_EQ(stacked.rows(), 6);
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_DOUBLE_EQ(stacked.At(0, c), a.At(0, c));
-    EXPECT_DOUBLE_EQ(stacked.At(2, c), b.At(0, c));
-    EXPECT_DOUBLE_EQ(stacked.At(5, c), b.At(3, c));
-  }
-}
-
-// --------------------------------------------------------------------------
-// Encoder-level bit-exactness: solo tape vs tape-free vs batched.
+// Encoder-level bit-exactness: tape vs tape-free.
 // --------------------------------------------------------------------------
 
 core::GsgEncoderConfig SmallGsgConfig() {
@@ -303,6 +249,16 @@ core::LdgEncoderConfig SmallLdgConfig() {
   return config;
 }
 
+/// Solo PredictScore of every graph inside one inference scope (one arena
+/// pass; on the tape when the fast path is globally off).
+std::vector<double> ScoreInOnePass(const core::GsgEncoder& encoder,
+                                   const std::vector<graph::Graph>& graphs) {
+  ag::InferenceScope scope;
+  std::vector<double> scores;
+  for (const graph::Graph& g : graphs) scores.push_back(encoder.PredictScore(g));
+  return scores;
+}
+
 TEST(GsgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   core::GsgEncoder encoder(SmallGsgConfig());
   graph::Graph g = MakeGraph(6, 6, 41);
@@ -313,27 +269,6 @@ TEST(GsgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
     fast = encoder.PredictScore(g);
   }
   EXPECT_DOUBLE_EQ(fast, tape);
-}
-
-TEST(GsgFastPathTest, BatchedScoresMatchSoloAtEverySize) {
-  core::GsgEncoder encoder(SmallGsgConfig());
-  // Heterogeneous subgraph sizes — the packed forward must keep each
-  // block's rows bit-identical regardless of its offset and neighbors.
-  std::vector<graph::Graph> graphs;
-  for (int i = 0; i < 5; ++i) graphs.push_back(MakeGraph(3 + 2 * i, 6, 50 + i));
-  std::vector<double> solo;
-  for (const graph::Graph& g : graphs) solo.push_back(encoder.PredictScore(g));
-
-  for (size_t batch : {size_t{1}, size_t{2}, graphs.size()}) {
-    std::vector<const graph::Graph*> ptrs;
-    for (size_t i = 0; i < batch; ++i) ptrs.push_back(&graphs[i]);
-    const std::vector<double> batched = encoder.PredictScoreBatch(ptrs);
-    ASSERT_EQ(batched.size(), batch);
-    for (size_t i = 0; i < batch; ++i) {
-      EXPECT_DOUBLE_EQ(batched[i], solo[i])
-          << "batch size " << batch << ", graph " << i;
-    }
-  }
 }
 
 TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
@@ -348,29 +283,6 @@ TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   EXPECT_DOUBLE_EQ(fast, tape);
 }
 
-TEST(LdgFastPathTest, BatchedScoresMatchSoloAtEverySize) {
-  core::LdgEncoder encoder(SmallLdgConfig());
-  std::vector<std::vector<graph::Graph>> instances;
-  for (int i = 0; i < 4; ++i) {
-    instances.push_back(MakeSlices(3 + 2 * i, 6, 3, 70 + 10 * i));
-  }
-  std::vector<double> solo;
-  for (const auto& slices : instances) {
-    solo.push_back(encoder.PredictScore(slices));
-  }
-
-  for (size_t batch : {size_t{1}, size_t{2}, instances.size()}) {
-    std::vector<const std::vector<graph::Graph>*> ptrs;
-    for (size_t i = 0; i < batch; ++i) ptrs.push_back(&instances[i]);
-    const std::vector<double> batched = encoder.PredictScoreBatch(ptrs);
-    ASSERT_EQ(batched.size(), batch);
-    for (size_t i = 0; i < batch; ++i) {
-      EXPECT_DOUBLE_EQ(batched[i], solo[i])
-          << "batch size " << batch << ", instance " << i;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // Arena mechanics: pooling, reuse, lifetime, the global switch.
 // --------------------------------------------------------------------------
@@ -379,14 +291,12 @@ TEST(InferenceArenaTest, SteadyStatePassAllocatesNoNodesOrBuffers) {
   core::GsgEncoder encoder(SmallGsgConfig());
   std::vector<graph::Graph> graphs;
   for (int i = 0; i < 3; ++i) graphs.push_back(MakeGraph(4 + i, 6, 80 + i));
-  std::vector<const graph::Graph*> ptrs;
-  for (const graph::Graph& g : graphs) ptrs.push_back(&g);
 
   // First pass warms the thread-local arena's node pool and buffer free
   // list; the second identical pass must reuse everything.
-  const std::vector<double> first = encoder.PredictScoreBatch(ptrs);
+  const std::vector<double> first = ScoreInOnePass(encoder, graphs);
   const uint64_t nodes_before = ag::internal::NodeAllocationCount();
-  const std::vector<double> second = encoder.PredictScoreBatch(ptrs);
+  const std::vector<double> second = ScoreInOnePass(encoder, graphs);
   EXPECT_EQ(ag::internal::NodeAllocationCount(), nodes_before)
       << "steady-state fast-path pass allocated autograd nodes";
   ASSERT_EQ(first.size(), second.size());
@@ -533,16 +443,14 @@ TEST(InferenceArenaTest, GlobalSwitchDisablesTheFastPath) {
 }
 
 TEST(InferenceArenaTest, BatchedScoreMatchesWithFastPathDisabled) {
-  // The block-diagonal batched forward must be bit-identical whether it
-  // runs tape-free (arena) or on the tape (fast path globally off).
+  // A pass scoring several graphs must be bit-identical whether it runs
+  // tape-free (arena) or on the tape (fast path globally off).
   core::GsgEncoder encoder(SmallGsgConfig());
   std::vector<graph::Graph> graphs;
   for (int i = 0; i < 3; ++i) graphs.push_back(MakeGraph(4 + i, 6, 90 + i));
-  std::vector<const graph::Graph*> ptrs;
-  for (const graph::Graph& g : graphs) ptrs.push_back(&g);
-  const std::vector<double> fast = encoder.PredictScoreBatch(ptrs);
+  const std::vector<double> fast = ScoreInOnePass(encoder, graphs);
   ag::SetInferenceFastPathEnabled(false);
-  const std::vector<double> tape = encoder.PredictScoreBatch(ptrs);
+  const std::vector<double> tape = ScoreInOnePass(encoder, graphs);
   ag::SetInferenceFastPathEnabled(true);
   ASSERT_EQ(fast.size(), tape.size());
   for (size_t i = 0; i < fast.size(); ++i) {

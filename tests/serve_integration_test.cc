@@ -17,7 +17,6 @@
 #include "eth/appendable_ledger.h"
 #include "eth/dataset.h"
 #include "eth/ledger.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_service.h"
 
@@ -510,14 +509,14 @@ TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
 }
 
 // --------------------------------------------------------------------------
-// Grad-free fast path: packed micro-batch scoring, worker clamp
+// Micro-batched cold scores, batch traces, worker clamp
 // --------------------------------------------------------------------------
 
 TEST_F(ServeIntegrationTest, BatchedColdScoresMatchPerRequestReference) {
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
   // Hold the batch open long enough for several distinct cold requests to
-  // land in one dispatch, so they take the packed block-diagonal forward.
+  // land in one dispatch.
   config.queue.max_batch = 4;
   config.queue.max_wait_us = 50'000;
   auto created = InferenceService::Create(config, &checkpoint, ledger_);
@@ -527,12 +526,6 @@ TEST_F(ServeIntegrationTest, BatchedColdScoresMatchPerRequestReference) {
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
   ASSERT_GE(exchanges.size(), 3u);
-
-  obs::Counter* packed_batches = obs::MetricsRegistry::Global()->CounterAt(
-      "serve_fastpath_batches_total",
-      "Cold-request groups scored through one packed block-diagonal "
-      "forward");
-  const uint64_t packed_before = packed_batches->Value();
 
   std::vector<std::future<ScoreResult>> futures;
   for (size_t i = 0; i < 3; ++i) {
@@ -548,40 +541,56 @@ TEST_F(ServeIntegrationTest, BatchedColdScoresMatchPerRequestReference) {
                                          kTimeSlices);
     ASSERT_TRUE(inst.ok());
     model_->Normalize(&inst.ValueOrDie());
-    // The packed forward must be bit-identical to the solo cold path.
+    // A score from a multi-request batch is bit-identical to the direct
+    // cold path.
     EXPECT_DOUBLE_EQ(results[i].probability,
                      model_->PredictProba(inst.ValueOrDie()))
         << "address " << exchanges[i];
   }
-  EXPECT_GT(packed_batches->Value(), packed_before)
-      << "the grouped cold requests never took the packed forward";
+  EXPECT_GT(service.StatsSnapshot().avg_batch_size, 1.0)
+      << "the cold requests never shared a batch";
 }
 
-TEST_F(ServeIntegrationTest, SequentialPathWhenBatchForwardDisabled) {
+TEST_F(ServeIntegrationTest, BatchedColdRequestsTraceTheirForwardPass) {
+  obs::Tracer* tracer = obs::Tracer::Global();
+  tracer->SetSampleEveryN(1);
+  tracer->Clear();
+
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
-  config.batch_forward = false;
   config.queue.max_batch = 4;
   config.queue.max_wait_us = 50'000;
   auto created = InferenceService::Create(config, &checkpoint, ledger_);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
 
-  const auto exchanges =
-      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  // Three distinct cold addresses, each with its own trace id; the one
+  // worker holds them in a single batch.
+  const auto bridges = ledger_->AccountsOfClass(eth::AccountClass::kBridge);
+  ASSERT_GE(bridges.size(), 3u);
+  const std::vector<std::string> ids = {"batched-trace-a", "batched-trace-b",
+                                        "batched-trace-c"};
   std::vector<std::future<ScoreResult>> futures;
-  for (size_t i = 0; i < 3; ++i) {
-    futures.push_back(service.ScoreAsync(exchanges[i]));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    futures.push_back(service.ScoreAsync(bridges[i], 0, ids[i]));
   }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    const ScoreResult result = futures[i].get();
+  for (auto& future : futures) {
+    const ScoreResult result = future.get();
     ASSERT_TRUE(result.ok()) << result.status.ToString();
-    auto inst = eth::MaterializeInstance(*ledger_, exchanges[i], Sampling(),
-                                         kTimeSlices);
-    ASSERT_TRUE(inst.ok());
-    model_->Normalize(&inst.ValueOrDie());
-    EXPECT_DOUBLE_EQ(result.probability,
-                     model_->PredictProba(inst.ValueOrDie()));
+    ASSERT_FALSE(result.cache_hit);
+  }
+  EXPECT_GT(service.StatsSnapshot().avg_batch_size, 1.0);
+
+  // Every request's own trace holds its forward stages under score_cold.
+  for (const std::string& id : ids) {
+    const auto tree = tracer->FindTrace(id);
+    ASSERT_TRUE(tree.has_value()) << "no trace for " << id;
+    EXPECT_EQ(tree->name, "score_cold") << id;
+    for (const char* stage : {"gsg_forward", "ldg_forward"}) {
+      EXPECT_NE(obs::FindSpan(*tree, stage), nullptr)
+          << "trace " << id << " lacks " << stage << ":\n"
+          << obs::FormatSpanTree(*tree);
+    }
   }
 }
 

@@ -150,7 +150,7 @@ echo "=== tsan: obs suite (ctest -L obs) ==="
 (cd build-tsan && ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== tsan: serve + chaos + inference fast-path suites ==="
-(cd build-tsan && ctest -R "Serve|ServerStats|ThreadPool|RequestQueue|ResultCache|InferenceArena|TapeFree|FastPath|MaskedAttentionAlpha|PackedBlocks|ModelRegistry" \
+(cd build-tsan && ctest -R "Serve|ServerStats|ThreadPool|RequestQueue|ResultCache|InferenceArena|TapeFree|FastPath|MaskedAttentionAlpha|ModelRegistry" \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 # The network suite carries the event loops' cross-thread handoffs
@@ -173,17 +173,18 @@ echo "=== perfbench self-test: a corrupted score must fail the run ==="
 python3 perfbench/run.py --self-test
 
 # The SIMD matmul kernels load and store vectors up to each row's tail,
-# the sampler indexes the ledger's counterparty lists, and the inference
+# the sampler indexes the ledger's counterparty lists, the inference
 # arena recycles nodes from shared_ptr deleters (including releases on
-# other threads and after the arena is gone): run their suites (and the
-# ledger index's) under AddressSanitizer + UBSan.
+# other threads and after the arena is gone), and the GAT's fused CSR
+# attention indexes raw row offsets on the training tape and the arena:
+# run their suites (and the ledger index's) under AddressSanitizer + UBSan.
 echo "=== asan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j --target dbg4eth_tests
 
-echo "=== asan: matrix kernel, sampling, ledger, CSV-ledger and inference-arena suites ==="
+echo "=== asan: matrix kernel, sampling, ledger, CSV-ledger, GAT attention and inference-arena suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest \
-    -R "^(Matrix|MatMulKernel|Sampling|SamplingEquivalence|Ledger|LedgerIndex|LedgerIndexDeath|CsvLedger|InferenceArena|TapeFreeLayer|GsgFastPath|LdgFastPath)Test\\." \
+    -R "^(Matrix|MatMulKernel|Sampling|SamplingEquivalence|Ledger|LedgerIndex|LedgerIndexDeath|CsvLedger|MaskedAttentionAlpha|GatConv|InferenceArena|TapeFreeLayer|GsgFastPath|LdgFastPath)Test\\." \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
