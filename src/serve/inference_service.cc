@@ -143,20 +143,6 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
 std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
                                                       int64_t deadline_us,
                                                       std::string trace_id) {
-  if (shutdown_.load()) {
-    // A shut-down service rejects uniformly — even addresses that would
-    // hit the cache — so clients observe one consistent terminal state.
-    ScoreResult result;
-    result.address = address;
-    result.ledger_height = ledger_height_.load();
-    result.trace_id = std::move(trace_id);
-    result.status = Status::FailedPrecondition("service is shut down");
-    stats_.RecordError();
-    auto promise = std::make_shared<std::promise<ScoreResult>>();
-    std::future<ScoreResult> rejected = promise->get_future();
-    promise->set_value(std::move(result));
-    return rejected;
-  }
   ScoreRequest request;
   request.address = address;
   request.ledger_height = ledger_height_.load();
@@ -169,6 +155,13 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
   request.trace_id = std::move(trace_id);
   request.promise = std::make_shared<std::promise<ScoreResult>>();
   std::future<ScoreResult> future = request.promise->get_future();
+
+  if (shutdown_.load()) {
+    // A shut-down service rejects uniformly — even addresses that would
+    // hit the cache — so clients observe one consistent terminal state.
+    ResolveError(request, Status::FailedPrecondition("service is shut down"));
+    return future;
+  }
 
   // Fast path: a cached score resolves without touching the queue, the
   // workers, the sampler, or the model.
@@ -215,18 +208,10 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
     }
   }
 
-  if (!queue_.Push(std::move(request))) {
-    // Rejected: the service is shutting down. The moved-in request (and
-    // its promise) died inside Push, so resolve via a fresh promise.
-    ScoreResult result;
-    result.address = address;
-    result.ledger_height = ledger_height_.load();
-    result.status = Status::FailedPrecondition("service is shut down");
-    stats_.RecordError();
-    auto promise = std::make_shared<std::promise<ScoreResult>>();
-    std::future<ScoreResult> rejected = promise->get_future();
-    promise->set_value(std::move(result));
-    return rejected;
+  // Push copies the request like TryPush, so a shutdown that rejects it
+  // while it waits on capacity still resolves it with its trace id.
+  if (!queue_.Push(request)) {
+    ResolveError(request, Status::FailedPrecondition("service is shut down"));
   }
   return future;
 }

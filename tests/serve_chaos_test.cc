@@ -316,6 +316,41 @@ TEST_F(ServeChaosTest, RequestQueueIsTheOnlyAdmissionBound) {
   EXPECT_EQ(service->StatsSnapshot().shed, shed);
 }
 
+// Without admission control a full queue blocks the producer inside Push;
+// the shutdown that wakes it must still hand back the request's trace id.
+TEST_F(ServeChaosTest, ShutdownRejectingBlockedPushKeepsTraceId) {
+  SKIP_WITHOUT_FAILPOINTS();
+  InferenceServiceConfig config = ServiceConfig(/*workers=*/1);
+  config.queue.capacity = 1;
+  config.queue.max_batch = 1;
+  config.shed_when_saturated = false;
+  ASSERT_TRUE(
+      failpoint::Enable("serve.worker", failpoint::SleepFor(200'000)).ok());
+  auto service = MakeService(config, ledger_);
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+
+  // A occupies the stalled worker; B fills the one queue slot (its Push
+  // waits until the worker has popped A).
+  std::future<ScoreResult> a = service->ScoreAsync(exchanges[0]);
+  std::future<ScoreResult> b = service->ScoreAsync(exchanges[1]);
+  std::future<ScoreResult> c;
+  std::thread producer([&] {
+    c = service->ScoreAsync(exchanges[2], /*deadline_us=*/0, "4bf92f3577b34da6a3ce929d0e0e4736");
+  });
+  // Let C block in Push, well inside A's 200 ms stall.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  service->Shutdown();
+  producer.join();
+
+  const ScoreResult rejected = c.get();
+  EXPECT_EQ(rejected.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(rejected.trace_id, "4bf92f3577b34da6a3ce929d0e0e4736");
+  EXPECT_EQ(rejected.address, exchanges[2]);
+  EXPECT_TRUE(a.get().ok());  // Admitted work still drains.
+  EXPECT_TRUE(b.get().ok());
+}
+
 // The TSan centerpiece: concurrent clients with mixed deadlines, a cold
 // path failing with probability 0.25, slow workers, and a Shutdown racing
 // the producers. Every future must resolve, and the client-side outcome

@@ -5,13 +5,16 @@
 # the observability, serving and network suites under ThreadSanitizer
 # (including the model hot-swap hammer and the net chaos fault injection),
 # a failpoint-enabled kill -> resume -> hot-reload chaos smoke, the
-# benchmark's self-test, the SIMD kernel / sampler / ledger suites under
-# AddressSanitizer + UBSan, and a serving-latency regression guard against
-# the committed BENCH_serve.json.
+# benchmark's self-test, and the SIMD kernel / sampler / ledger suites and
+# the failpoint chaos suite under AddressSanitizer + UBSan. --bench instead
+# ends with a paired cold-score gate (tools/bench_gate.py): five alternated
+# perfbench cold_solo pairs of BASE against the working tree, failing when
+# the median change/base p50 exceeds 1.10.
 #
-#   tools/check.sh            # tier-1 + tsan obs/serve + perfbench + asan
-#   tools/check.sh --fast     # tier-1 only
-#   tools/check.sh --bench    # tier-1 + bench-regression guard
+#   tools/check.sh                # tier-1 + tsan obs/serve + perfbench + asan
+#   tools/check.sh --fast         # tier-1 only
+#   tools/check.sh --bench [BASE] # tier-1 + http smoke + paired gate vs
+#                                 # BASE (default HEAD)
 #
 # Run from anywhere; paths resolve relative to the repo root.
 set -euo pipefail
@@ -25,6 +28,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   fast=1
 elif [[ "${1:-}" == "--bench" ]]; then
   bench=1
+  bench_base="${2:-HEAD}"
 fi
 
 echo "=== tier-1: configure + build + ctest (build/) ==="
@@ -95,46 +99,8 @@ if [[ "${fast}" != "1" ]]; then
 fi
 
 if [[ "${bench}" == "1" ]]; then
-  echo "=== bench-regression guard: cold p50/p95 vs committed BENCH_serve.json ==="
-  cmake --build build -j --target bench_serve_throughput >/dev/null
-  fresh_a="$(mktemp /tmp/bench_serve.XXXXXX.json)"
-  fresh_b="$(mktemp /tmp/bench_serve.XXXXXX.json)"
-  trap 'rm -f "${fresh_a}" "${fresh_b}"' EXIT
-  ./build/bench/bench_serve_throughput "${fresh_a}" >/dev/null
-  # A second sample guards against flakes: latency quantiles of a
-  # queue-dominated run jitter well past 20% on a busy machine, so a
-  # regression must reproduce in both runs to fail the check.
-  ./build/bench/bench_serve_throughput "${fresh_b}" >/dev/null
-  python3 - "BENCH_serve.json" "${fresh_a}" "${fresh_b}" <<'PY'
-import json, sys
-
-committed = json.load(open(sys.argv[1]))
-samples = [json.load(open(path)) for path in sys.argv[2:]]
-
-def cold_latency(doc, workers):
-    for point in doc["cold"]:
-        if point["workers"] == workers:
-            return point["latency"]
-    raise SystemExit(f"no cold point at workers={workers}")
-
-failed = False
-for workers in (1, 8):
-    base = cold_latency(committed, workers)
-    for quantile in ("p50_us", "p95_us"):
-        best = min(cold_latency(s, workers)[quantile] for s in samples)
-        ratio = best / base[quantile] if base[quantile] > 0 else 1.0
-        marker = "OK  "
-        if ratio > 1.20:  # >20% slower than the committed baseline.
-            marker = "FAIL"
-            failed = True
-        print(f"  {marker} cold {quantile} workers={workers}: "
-              f"best-of-{len(samples)} {best:.0f}us vs baseline "
-              f"{base[quantile]:.0f}us ({ratio:.2f}x)")
-if failed:
-    raise SystemExit("bench regression: cold latency >20% above the "
-                     "committed BENCH_serve.json baseline in every sample")
-print("  bench-regression guard passed")
-PY
+  echo "=== bench gate: cold_solo p50, ${bench_base} vs working tree, alternated pairs ==="
+  python3 tools/bench_gate.py "${bench_base}"
 fi
 
 if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
@@ -178,13 +144,19 @@ python3 perfbench/run.py --self-test
 # other threads and after the arena is gone), and the GAT's fused CSR
 # attention indexes raw row offsets on the training tape and the arena:
 # run their suites (and the ledger index's) under AddressSanitizer + UBSan.
+# The asan preset compiles failpoints in, so the serving and network chaos
+# suites inject their faults here too.
 echo "=== asan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
-cmake --build --preset asan -j --target dbg4eth_tests
+cmake --build --preset asan -j --target dbg4eth_tests dbg4eth_chaos_tests
 
 echo "=== asan: matrix kernel, sampling, ledger, CSV-ledger, GAT attention and inference-arena suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest \
     -R "^(Matrix|MatMulKernel|Sampling|SamplingEquivalence|Ledger|LedgerIndex|LedgerIndexDeath|CsvLedger|MaskedAttentionAlpha|GatConv|InferenceArena|TapeFreeLayer|GsgFastPath|LdgFastPath)Test\\." \
     --no-tests=error --output-on-failure -j"$(nproc)")
+
+echo "=== asan: chaos suite (ctest -L chaos) ==="
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest \
+    -L chaos --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
